@@ -167,7 +167,7 @@ def cmd_synth(args) -> int:
     if args.speaker not in store:
         raise CorpusError(f"speaker {args.speaker!r} not in embedding store")
     spk = store[args.speaker]
-    mcfg = model.ModelConfig.from_dict(run_cfg.model.to_dict())
+    mcfg = run_cfg.model
     dmel, att, path = model.t2m_generate(
         seq.indices,
         spk,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dsp import FeatureConfig
 from .model import ModelConfig
@@ -33,13 +33,6 @@ class TrainConfig:
     disc_channels: int = 64
     disc_variant: str = "base"  # critic stack variant: base | v1 | v2
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -47,13 +40,6 @@ class ProtocolConfig:
     n_target: int = 20
     n_synth: int = 20
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProtocolConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -64,22 +50,15 @@ class RunConfig:
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
 
     def to_dict(self) -> dict:
-        return {
-            "dsp": self.dsp.to_dict(),
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "protocol": self.protocol.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Missing or empty sections take their defaults; an unknown key
+        inside a section raises TypeError."""
+        # each section's default_factory is its config class
         return cls(
-            dsp=FeatureConfig.from_dict(d.get("dsp", {})) if d.get("dsp") else FeatureConfig(),
-            model=ModelConfig.from_dict(d.get("model", {})) if d.get("model") else ModelConfig(),
-            train=TrainConfig.from_dict(d.get("train", {})) if d.get("train") else TrainConfig(),
-            protocol=ProtocolConfig.from_dict(d.get("protocol", {}))
-            if d.get("protocol")
-            else ProtocolConfig(),
+            **{f.name: f.default_factory(**(d.get(f.name) or {})) for f in fields(cls)}
         )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 import wave as wave_mod
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -102,17 +102,7 @@ class FeatureConfig:
     gl_sharpen: float = 1.3
 
     def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "win": self.win,
-            "hop": self.hop,
-            "n_mels": self.n_mels,
-            "downsample": self.downsample,
-            "ref_lin": self.ref_lin,
-            "ref_mel": self.ref_mel,
-            "gl_iters": self.gl_iters,
-            "gl_sharpen": self.gl_sharpen,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
@@ -136,6 +126,31 @@ def _check_stft_args(win: int, hop: int) -> None:
         raise ValueError(f"hop={hop} exceeds win={win}")
 
 
+def _frames(x: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """(n_frames, win) read-only view of ``x`` at every ``hop`` samples; an
+    input shorter than ``win`` is zero-padded to one frame."""
+    if x.size < win:
+        x = np.pad(x, (0, win - x.size))
+    return np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of the (T, win) rows placed every ``hop`` samples; length
+    (T-1)*hop + win.
+
+    Each hop-wide window segment is added for all frames at once, from the
+    last segment to the first, so every output sample receives its addends
+    in increasing frame order, bit for bit as a per-frame loop adds them.
+    """
+    n_frames, win = frames.shape
+    n_seg = -(-win // hop)
+    blocks = np.zeros((n_frames + n_seg - 1, hop))
+    for j in reversed(range(n_seg)):
+        seg = frames[:, j * hop : (j + 1) * hop]
+        blocks[j : j + n_frames, : seg.shape[1]] += seg
+    return blocks.reshape(-1)[: (n_frames - 1) * hop + win]
+
+
 def stft(wave: Waveform, win: int = 1024, hop: int = 256) -> np.ndarray:
     """Complex (win//2+1, T) grid; hann analysis window, centered frames."""
     _check_stft_args(win, hop)
@@ -144,10 +159,7 @@ def stft(wave: Waveform, win: int = 1024, hop: int = 256) -> np.ndarray:
         x = np.pad(x, (0, win - x.size))
     pad = win // 2
     x = np.pad(x, (pad, pad), mode="reflect")
-    n_frames = 1 + (x.size - win) // hop
-    window = np.hanning(win)
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[:: hop][:n_frames]
-    return (np.fft.rfft(frames * window, axis=1)).T.copy()
+    return np.fft.rfft(_frames(x, win, hop) * np.hanning(win), axis=1).T.copy()
 
 
 def istft(
@@ -163,16 +175,10 @@ def istft(
         raise ValueError(
             f"grid has {grid.shape[0]} bins, expected {win // 2 + 1} for win={win}"
         )
-    n_frames = grid.shape[1]
     window = np.hanning(win)
     frames = np.fft.irfft(grid.T, n=win, axis=1) * window
-    length = (n_frames - 1) * hop + win
-    out = np.zeros(length)
-    norm = np.zeros(length)
-    wsq = window * window
-    for t in range(n_frames):
-        out[t * hop : t * hop + win] += frames[t]
-        norm[t * hop : t * hop + win] += wsq
+    out = _overlap_add(frames, hop)
+    norm = _overlap_add(np.broadcast_to(window * window, frames.shape), hop)
     out /= np.maximum(norm, 1e-12)
     return Waveform(out, sample_rate=sample_rate)
 
@@ -210,21 +216,15 @@ def griffin_lim(
         raise ValueError("magnitudes must be finite and non-negative")
     t_frames = mag.shape[1]
     window = np.hanning(win)
-    wsq = window * window
-    length = (t_frames - 1) * hop + win
+    norm = np.maximum(
+        _overlap_add(np.broadcast_to(window * window, (t_frames, win)), hop), 1e-12
+    )
 
     def analyze(x: np.ndarray) -> np.ndarray:
-        frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:t_frames]
-        return np.fft.rfft(frames * window, axis=1).T
+        return np.fft.rfft(_frames(x, win, hop) * window, axis=1).T
 
     def synthesize(grid: np.ndarray) -> np.ndarray:
-        frames = np.fft.irfft(grid.T, n=win, axis=1) * window
-        out = np.zeros(length)
-        norm = np.zeros(length)
-        for t in range(t_frames):
-            out[t * hop : t * hop + win] += frames[t]
-            norm[t * hop : t * hop + win] += wsq
-        return out / np.maximum(norm, 1e-12)
+        return _overlap_add(np.fft.irfft(grid.T, n=win, axis=1) * window, hop) / norm
 
     def project(spec: np.ndarray) -> np.ndarray:
         return mag * (spec / np.maximum(np.abs(spec), 1e-12))
@@ -365,13 +365,6 @@ def dct_ii_ortho(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return scipy.fft.dct(x, type=2, axis=axis, norm="ortho")
 
 
-def _frame_signal(x: np.ndarray, win: int, hop: int) -> np.ndarray:
-    if x.size < win:
-        x = np.pad(x, (0, win - x.size))
-    n_frames = 1 + (x.size - win) // hop
-    return np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:n_frames]
-
-
 def lfcc(
     wave: Waveform,
     n_coeffs: int = 20,
@@ -388,7 +381,7 @@ def lfcc(
     sr = wave.sample_rate
     win = max(int(round(win_ms * sr / 1000.0)), 2)
     hop = max(int(round(hop_ms * sr / 1000.0)), 1)
-    frames = _frame_signal(np.asarray(wave.samples, dtype=np.float64), win, hop)
+    frames = _frames(np.asarray(wave.samples, dtype=np.float64), win, hop)
     spec = np.abs(np.fft.rfft(frames * np.hamming(win), axis=1)) ** 2
     n_bins = spec.shape[1]
     edges = np.linspace(0.0, sr / 2.0, n_filters + 2)

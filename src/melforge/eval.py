@@ -155,12 +155,22 @@ def _threshold_grid(scores: np.ndarray) -> np.ndarray:
     return np.concatenate(([-np.inf], mids, [np.inf]))
 
 
-def _rates(thresholds, target, nontarget):
-    t = np.asarray(target)
-    n = np.asarray(nontarget)
-    frr = np.array([np.mean(t < th) for th in thresholds])
-    far = np.array([np.mean(n >= th) for th in thresholds])
-    return frr, far
+def _finite(scores) -> np.ndarray:
+    s = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
+    return s
+
+
+def _rates(thresholds: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shares of ``scores`` below and at or above each threshold.
+
+    Counted by binary search in a sorted copy; count / size equals np.mean
+    over the comparison bit for bit.
+    """
+    s = np.sort(scores)
+    below = np.searchsorted(s, thresholds, side="left")
+    return below / s.size, (s.size - below) / s.size
 
 
 def compute_eer(
@@ -170,13 +180,15 @@ def compute_eer(
 
     FRR(th) = fraction of targets < th; FAR(th) = fraction of non-targets
     >= th; thresholds sweep the midpoints of adjacent sorted scores.
+    Raises ValueError on an empty score set or a non-finite score.
     """
-    target = np.asarray(target_scores, dtype=np.float64)
-    nontarget = np.asarray(nontarget_scores, dtype=np.float64)
+    target = _finite(target_scores)
+    nontarget = _finite(nontarget_scores)
     if target.size == 0 or nontarget.size == 0:
         raise ValueError("both score sets must be non-empty")
     thresholds = _threshold_grid(np.concatenate([target, nontarget]))
-    frr, far = _rates(thresholds, target, nontarget)
+    frr, _ = _rates(thresholds, target)
+    _, far = _rates(thresholds, nontarget)
     diff = frr - far
     i = int(np.argmax(diff >= 0))
     if diff[i] == 0:
@@ -207,20 +219,24 @@ def sr_frr_curve(
     """Operating points over all midpoint thresholds, sorted by threshold.
 
     SR is non-increasing and FRR non-decreasing along the sweep.  FAR is
-    populated when non-target scores are given, else NaN.
+    populated when non-target scores are given, else NaN.  Raises
+    ValueError on an empty target or synthetic set or a non-finite score.
     """
-    target = np.asarray(target_scores, dtype=np.float64)
-    synth = np.asarray(synthetic_scores, dtype=np.float64)
+    target = _finite(target_scores)
+    synth = _finite(synthetic_scores)
     if target.size == 0 or synth.size == 0:
         raise ValueError("both score sets must be non-empty")
     thresholds = _threshold_grid(np.concatenate([target, synth]))
-    points = []
-    for th in thresholds:
-        frr = float(np.mean(target < th))
-        sr = float(np.mean(synth >= th))
-        far = float(np.mean(np.asarray(nontarget_scores) >= th)) if nontarget_scores is not None else float("nan")
-        points.append(OperatingPoint(float(th), frr, far, sr))
-    return points
+    frr, _ = _rates(thresholds, target)
+    _, sr = _rates(thresholds, synth)
+    if nontarget_scores is None:
+        far = np.full(thresholds.size, np.nan)
+    else:
+        _, far = _rates(thresholds, _finite(nontarget_scores))
+    return [
+        OperatingPoint(*p)
+        for p in zip(thresholds.tolist(), frr.tolist(), far.tolist(), sr.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +350,8 @@ def write_score_csv(trials: list[Trial], scores, path) -> None:
 
 
 def read_score_csv(path) -> dict[str, float]:
-    """trial_id -> score."""
+    """trial_id -> score; every score must be finite and every trial_id
+    unique."""
     out: dict[str, float] = {}
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
@@ -342,7 +359,20 @@ def read_score_csv(path) -> dict[str, float]:
         if missing:
             raise ProtocolError(f"{path}: score CSV missing columns {sorted(missing)}")
         for row in reader:
-            out[row["trial_id"]] = float(row["score"])
+            trial_id, text = row["trial_id"], row["score"]
+            if trial_id in out:
+                raise ProtocolError(
+                    f"{path}, line {reader.line_num}: repeated trial_id {trial_id!r}"
+                )
+            try:
+                score = float(text)
+            except ValueError:
+                score = None
+            if score is None or not np.isfinite(score):
+                raise ProtocolError(
+                    f"{path}, line {reader.line_num}: score {text!r} is not a finite number"
+                )
+            out[trial_id] = score
     return out
 
 

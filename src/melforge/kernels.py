@@ -1,75 +1,21 @@
 """Hot numeric kernels for dilated 1-D convolution.
 
-Two interchangeable backends compute identical results (up to float
-rounding): numba-jitted loops and a pure-numpy decomposition into K batched
-matmuls.  The numba path wins for the narrow, short-sequence shapes that
-dominate training; BLAS wins for very wide channel counts (those cases are
-lowered to plain matmuls upstream and never reach these kernels).
+Both kernels lower the convolution to an input panel gather ("im2col")
+followed by one BLAS GEMM.  Very wide channel counts are lowered to plain
+matmuls upstream and never reach these kernels.  The test suite checks both
+against nested-loop oracles.
 
-Backend selection: the MELFORGE_KERNELS environment variable may be set to
-"numba" or "numpy"; "auto" (the default) picks numpy, which benchmarks
-faster at the narrow training shapes on current BLAS builds (see
-`benchmarks/bench_kernels.py`).  Both backends are deterministic and agree
-to float rounding.  numba is optional (the `melforge[numba]` extra): the test
-suite always checks the numpy path against nested-loop oracles, and
-cross-checks the numba path only where numba is installed.
+  panel[ci*K + k, b*To + t] = x[b, ci, t + k*dilation]
+  conv_valid:       y  = w.reshape(Co, Ci*K) @ panel
+  conv_weight_grad: gw = gy.reshape-ish (Co, B*To) @ panel.T
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba as nb
 
-    # pin the portable threading layer; avoids the noisy TBB version probe
-    nb.config.THREADING_LAYER = "workqueue"
-    _HAVE_NUMBA = True
-except ImportError:  # numba is the optional melforge[numba] extra
-    _HAVE_NUMBA = False
-
-_env = os.environ.get("MELFORGE_KERNELS", "auto").lower()
-if _env not in ("auto", "numba", "numpy"):
-    raise ValueError(f"MELFORGE_KERNELS must be auto|numba|numpy, got {_env!r}")
-if _env == "numba" and not _HAVE_NUMBA:
-    raise ImportError("MELFORGE_KERNELS=numba but numba is not importable")
-
-_use_numba = _env == "numba"
-
-
-def backend_name() -> str:
-    return "numba" if _use_numba else "numpy"
-
-
-def set_backend(name: str) -> None:
-    """Override the kernel backend at runtime (used by the benchmark)."""
-    global _use_numba
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise ImportError("numba backend requested but numba is not importable")
-        _use_numba = True
-    elif name == "numpy":
-        _use_numba = False
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
-
-
-# Both backends lower the dilated convolution to an input panel gather
-# ("im2col") followed by one GEMM; the gather is the loop-shaped part that
-# numba compiles, the GEMM hits BLAS either way.
-#
-#   panel[ci*K + k, b*To + t] = x[b, ci, t + k*dilation]
-#   conv_valid:       y  = w.reshape(Co, Ci*K) @ panel
-#   conv_weight_grad: gw = gy.reshape-ish (Co, B*To) @ panel.T
-
-# ---------------------------------------------------------------------------
-# numpy reference path
-# ---------------------------------------------------------------------------
-
-
-def _panel_numpy(x: np.ndarray, dilation: int, ksize: int, t_out: int) -> np.ndarray:
+def _panel(x: np.ndarray, dilation: int, ksize: int, t_out: int) -> np.ndarray:
     B, Ci, Tp = x.shape
     sb, sc, st = x.strides
     view = np.lib.stride_tricks.as_strided(
@@ -84,7 +30,7 @@ def _panel_numpy(x: np.ndarray, dilation: int, ksize: int, t_out: int) -> np.nda
     )
 
 
-def conv_valid_numpy(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
+def conv_valid(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
     """Valid dilated convolution.
 
     x: (B, C_in, Tp), w: (C_out, C_in, K) -> (B, C_out, Tp - (K-1)*dilation).
@@ -93,12 +39,12 @@ def conv_valid_numpy(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
     B, Ci, Tp = x.shape
     Co, _, K = w.shape
     To = Tp - (K - 1) * dilation
-    panel = _panel_numpy(x, dilation, K, To)
+    panel = _panel(x, dilation, K, To)
     y = w.reshape(Co, Ci * K) @ panel  # (Co, B*To)
     return np.ascontiguousarray(y.reshape(Co, B, To).transpose(1, 0, 2))
 
 
-def conv_weight_grad_numpy(
+def conv_weight_grad(
     x: np.ndarray, gy: np.ndarray, dilation: int, ksize: int
 ) -> np.ndarray:
     """Kernel-shaped correlation: adjoint of conv_valid with respect to w.
@@ -108,81 +54,6 @@ def conv_weight_grad_numpy(
     """
     B, Ci, Tp = x.shape
     _, Co, To = gy.shape
-    panel = _panel_numpy(x, dilation, ksize, To)
+    panel = _panel(x, dilation, ksize, To)
     g2 = np.ascontiguousarray(gy.transpose(1, 0, 2)).reshape(Co, B * To)
     return (g2 @ panel.T).reshape(Co, Ci, ksize)
-
-
-# ---------------------------------------------------------------------------
-# numba path
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @nb.njit(fastmath=True, cache=True)
-    def _panel_nb(x, dilation, ksize, t_out):
-        B, Ci, Tp = x.shape
-        panel = np.empty((Ci * ksize, B * t_out), dtype=x.dtype)
-        for ci in range(Ci):
-            for k in range(ksize):
-                row = ci * ksize + k
-                off = k * dilation
-                for b in range(B):
-                    base = b * t_out
-                    for t in range(t_out):
-                        panel[row, base + t] = x[b, ci, t + off]
-        return panel
-
-    @nb.njit(fastmath=True, cache=True)
-    def _conv_valid_nb(x, w, dilation):
-        B, Ci, Tp = x.shape
-        Co, _, K = w.shape
-        To = Tp - (K - 1) * dilation
-        panel = _panel_nb(x, dilation, K, To)
-        w2 = np.ascontiguousarray(w.reshape(Co, Ci * K))
-        y2 = np.dot(w2, panel)  # (Co, B*To)
-        y = np.empty((B, Co, To), dtype=x.dtype)
-        for co in range(Co):
-            for b in range(B):
-                y[b, co, :] = y2[co, b * To : (b + 1) * To]
-        return y
-
-    @nb.njit(fastmath=True, cache=True)
-    def _conv_weight_grad_nb(x, gy, dilation, ksize):
-        B, Ci, Tp = x.shape
-        _, Co, To = gy.shape
-        panel = _panel_nb(x, dilation, ksize, To)
-        g2 = np.empty((Co, B * To), dtype=gy.dtype)
-        for co in range(Co):
-            for b in range(B):
-                g2[co, b * To : (b + 1) * To] = gy[b, co, :]
-        return np.dot(g2, panel.T).reshape(Co, Ci, ksize)
-
-
-def conv_valid(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
-    if _use_numba:
-        return _conv_valid_nb(
-            np.ascontiguousarray(x), np.ascontiguousarray(w), dilation
-        )
-    return conv_valid_numpy(x, w, dilation)
-
-
-def conv_weight_grad(
-    x: np.ndarray, gy: np.ndarray, dilation: int, ksize: int
-) -> np.ndarray:
-    if _use_numba:
-        return _conv_weight_grad_nb(
-            np.ascontiguousarray(x), np.ascontiguousarray(gy), dilation, ksize
-        )
-    return conv_weight_grad_numpy(x, gy, dilation, ksize)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of both kernels for float32 and float64."""
-    if not _use_numba:
-        return
-    for dt in (np.float32, np.float64):
-        x = np.zeros((1, 2, 5), dtype=dt)
-        w = np.zeros((2, 2, 2), dtype=dt)
-        y = conv_valid(x, w, 1)
-        conv_weight_grad(x, y, 1, 2)

@@ -53,13 +53,6 @@ class ModelConfig:
             return self.ssrn_width
         return max(8, round(512 * self.width_scale))
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:

@@ -334,6 +334,14 @@ def _adam(cfg) -> AdamState:
     return AdamState(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
 
 
+def _opt_tables(opt: AdamState) -> dict[str, dict[str, np.ndarray]]:
+    """Copies of the moment buffers, which adam_step updates in place."""
+    return {
+        "m": {k: v.copy() for k, v in opt.m.items()},
+        "v": {k: v.copy() for k, v in opt.v.items()},
+    }
+
+
 def _restore_opt(opt: AdamState, tables: dict[str, dict[str, np.ndarray]], t: int) -> None:
     opt.m = {k: v.copy() for k, v in tables.get("m", {}).items()}
     opt.v = {k: v.copy() for k, v in tables.get("v", {}).items()}
@@ -410,9 +418,9 @@ def _train_loop(samples, run_cfg, model_id, log_path, resume, vocab):
             iteration=step,
             params=_to_arrays(gen_params),
             disc_params=_to_arrays(disc_params),
-            opt={"m": dict(gen_opt.m), "v": dict(gen_opt.v)},
+            opt=_opt_tables(gen_opt),
             opt_t=gen_opt.t,
-            disc_opt={"m": dict(disc_opt.m), "v": dict(disc_opt.v)},
+            disc_opt=_opt_tables(disc_opt),
             disc_opt_t=disc_opt.t,
             vocab=vocab.chars,
             feature_hash=fhash,

@@ -117,6 +117,38 @@ def brute_force_eer(target, nontarget):
     raise AssertionError("no crossing found")
 
 
+def loop_istft(grid: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Inverse STFT by per-sample overlap-add of hann-windowed frames,
+    divided by the overlap-added squared window (floored at 1e-12)."""
+    window = np.hanning(win)
+    frames = np.fft.irfft(grid.T, n=win, axis=1) * window
+    length = (frames.shape[0] - 1) * hop + win
+    out = np.zeros(length)
+    norm = np.zeros(length)
+    for t in range(frames.shape[0]):
+        for i in range(win):
+            out[t * hop + i] += frames[t, i]
+            norm[t * hop + i] += window[i] * window[i]
+    return out / np.maximum(norm, 1e-12)
+
+
+def sweep_sr_frr_far(target, synth, nontarget=None):
+    """(threshold, SR, FRR, FAR) at -inf, every midpoint of adjacent sorted
+    pooled target and synthetic scores, and +inf, each rate one mean over a
+    comparison; FAR is NaN without non-target scores."""
+    target = np.asarray(target, dtype=np.float64)
+    synth = np.asarray(synth, dtype=np.float64)
+    merged = np.sort(np.concatenate([target, synth]))
+    mids = np.unique((merged[1:] + merged[:-1]) / 2.0)
+    rows = []
+    for th in np.concatenate(([-np.inf], mids, [np.inf])):
+        sr = float(np.mean(synth >= th))
+        frr = float(np.mean(target < th))
+        far = float("nan") if nontarget is None else float(np.mean(np.asarray(nontarget, dtype=np.float64) >= th))
+        rows.append((float(th), sr, frr, far))
+    return rows
+
+
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
     a = np.asarray(a)
     b = np.asarray(b)

@@ -188,6 +188,26 @@ def test_eval_sv_missing_scores_exit_5(prepared_dir, tmp_path, tiny_cfg_file, to
     assert code == 5
 
 
+def test_eval_sv_bad_scores_exit_5(prepared_dir, tmp_path, tiny_cfg_file, toy_corpus):
+    pdir = tmp_path / "proto"
+    assert run_cli(
+        "eval-sv", "--protocol-dir", pdir,
+        "--test-manifest", prepared_dir / "test.jsonl",
+        "--synth-manifest", prepared_dir / "test.jsonl",
+        "--config", tiny_cfg_file,
+        "--embeddings", toy_corpus / "embeddings.mfem",
+    ) == 0
+    header, first, *rest = (pdir / "scores.csv").read_text().splitlines()
+    nan_row = first.rsplit(",", 1)[0] + ",nan"
+    for name, lines in (("nan", [header, nan_row, *rest]), ("dup", [header, first, first, *rest])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "eval-sv", "--protocol-dir", pdir, "--scores", path, "--config", tiny_cfg_file,
+        )
+        assert code == 5, name
+
+
 def test_eval_antispoof_gmm_backend(toy_corpus, tmp_path):
     out = tmp_path / "anti"
     code = run_cli(

@@ -7,7 +7,7 @@ import pytest
 
 from melforge import dsp
 from melforge.errors import FormatError
-from oracles import max_rel_err, naive_dct2_ortho, naive_dft
+from oracles import loop_istft, max_rel_err, naive_dct2_ortho, naive_dft
 
 
 @pytest.fixture
@@ -57,6 +57,18 @@ def test_istft_contracts():
     single = dsp.istft(np.zeros((513, 1), dtype=complex), 1024, 256)
     assert single.samples.size == 1024
     np.testing.assert_array_equal(single.samples, 0.0)
+
+
+@pytest.mark.parametrize(
+    "frames, win, hop",
+    [(12, 1024, 256), (1, 1024, 256), (9, 64, 48), (7, 256, 100), (5, 16, 16), (6, 32, 1)],
+)
+def test_istft_equals_loop_overlap_add(frames, win, hop, rng):
+    grid = rng.standard_normal((win // 2 + 1, frames)) + 1j * rng.standard_normal(
+        (win // 2 + 1, frames)
+    )
+    out = dsp.istft(grid, win, hop).samples
+    assert np.array_equal(out, loop_istft(grid, win, hop))
 
 
 def test_griffin_lim_sine_reconstruction():

@@ -8,7 +8,7 @@ from melforge import eval as ev
 from melforge.config import ProtocolConfig
 from melforge.corpus import EmbeddingStore, Manifest, ManifestRecord
 from melforge.errors import ProtocolError
-from oracles import brute_force_eer
+from oracles import brute_force_eer, sweep_sr_frr_far
 
 
 def _manifest(speakers, utts, prefix=""):
@@ -132,6 +132,38 @@ def test_sr_frr_curve_monotone_and_endpoints(rng):
     assert all(frrs[i + 1] >= frrs[i] for i in range(len(frrs) - 1))
 
 
+@pytest.mark.parametrize("with_nontarget", [False, True])
+def test_sr_frr_curve_equals_per_threshold_sweep(with_nontarget, rng):
+    # scores rounded to a coarse grid, so ties fall within and across sets
+    target = np.round(rng.standard_normal(60) + 1, 1)
+    synth = np.round(rng.standard_normal(45), 1)
+    nontarget = np.round(rng.standard_normal(80) - 1, 1) if with_nontarget else None
+    pts = ev.sr_frr_curve(target, synth, nontarget)
+    want = sweep_sr_frr_far(target, synth, nontarget)
+    got = [(p.threshold, p.sr, p.frr, p.far) for p in pts]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:3] == w[:3]
+        assert g[3] == w[3] or (np.isnan(g[3]) and np.isnan(w[3]))
+    assert np.isnan(got[0][3]) != with_nontarget
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eer_and_curve_reject_nonfinite_scores(bad, rng):
+    good = rng.standard_normal(10)
+    with_bad = np.append(rng.standard_normal(10), bad)
+    with pytest.raises(ValueError, match="finite"):
+        ev.compute_eer(with_bad, good)
+    with pytest.raises(ValueError, match="finite"):
+        ev.compute_eer(good, with_bad)
+    with pytest.raises(ValueError, match="finite"):
+        ev.sr_frr_curve(with_bad, good)
+    with pytest.raises(ValueError, match="finite"):
+        ev.sr_frr_curve(good, with_bad)
+    with pytest.raises(ValueError, match="finite"):
+        ev.sr_frr_curve(good, good, with_bad)
+
+
 def test_sr_frr_identical_distributions(rng):
     scores = rng.standard_normal(40)
     pts = ev.sr_frr_curve(scores, scores.copy())
@@ -213,6 +245,22 @@ def test_csv_roundtrips(tmp_path, rng):
     lines = (tmp_path / "c.csv").read_text().strip().splitlines()
     assert lines[0] == "threshold,SR,FRR,FAR"
     assert len(lines) == len(pts) + 1
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["t1,a,real,1,0.5", "t2,b,real,0,nan"], "line 3: score 'nan' is not a finite"),
+        (["t1,a,real,1,0.5", "t2,b,real,0,-inf"], "score '-inf' is not a finite"),
+        (["t1,a,real,1,0.5", "t1,a,real,1,0.25"], "line 3: repeated trial_id 't1'"),
+        (["t1,a,real,1,high"], "score 'high' is not a finite"),
+    ],
+)
+def test_read_score_csv_rejects_bad_rows(rows, message, tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join([",".join(ev.SCORE_FIELDS), *rows]) + "\n")
+    with pytest.raises(ProtocolError, match=message):
+        ev.read_score_csv(path)
 
 
 def test_synthetic_trials_claim_target():

@@ -1,6 +1,5 @@
-"""The numpy convolution backend must agree with nested-loop oracles in
-float32 and float64; where numba is installed, its backend must agree with
-numpy and with the same oracles."""
+"""The convolution kernels must agree with nested-loop oracles in float32
+and float64."""
 
 import numpy as np
 import pytest
@@ -11,13 +10,6 @@ from oracles import max_rel_err, naive_conv1d, naive_conv1d_weight_grad
 SHAPES = [(2, 3, 4, 10, 3, 1), (1, 5, 2, 7, 2, 3), (4, 4, 4, 12, 3, 2)]
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    prev = kernels.backend_name()
-    yield
-    kernels.set_backend(prev)
-
-
 def _conv_inputs(dtype, shape, rng):
     b, ci, co, t, k, d = shape
     tp = t + (k - 1) * d
@@ -25,11 +17,6 @@ def _conv_inputs(dtype, shape, rng):
     w = rng.standard_normal((co, ci, k)).astype(dtype)
     gy = rng.standard_normal((b, co, t)).astype(dtype)
     return x, w, gy, d, k
-
-
-def _run_backend(backend, x, w, gy, d, k):
-    kernels.set_backend(backend)
-    return kernels.conv_valid(x, w, d), kernels.conv_weight_grad(x, gy, d, k)
 
 
 def _assert_matches_oracles(y, gw, x, w, gy, d, k, tol):
@@ -43,27 +30,12 @@ def _assert_matches_oracles(y, gw, x, w, gy, d, k, tol):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_backends_match_each_other_and_oracle(dtype, shape, rng):
-    """The numpy backend, which every model pass uses, against the
-    float64 nested-loop oracles for both kernels."""
+    """Both kernels against the float64 nested-loop oracles."""
     x, w, gy, d, k = _conv_inputs(dtype, shape, rng)
-    y, gw = _run_backend("numpy", x, w, gy, d, k)
+    y, gw = kernels.conv_valid(x, w, d), kernels.conv_weight_grad(x, gy, d, k)
     assert y.dtype == dtype and gw.dtype == dtype
     tol = 1e-5 if dtype == np.float32 else 1e-10
     _assert_matches_oracles(y, gw, x, w, gy, d, k, tol)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", SHAPES)
-def test_numba_backend_matches_numpy_and_oracle(dtype, shape, rng):
-    pytest.importorskip("numba")
-    x, w, gy, d, k = _conv_inputs(dtype, shape, rng)
-    y_np, gw_np = _run_backend("numpy", x, w, gy, d, k)
-    y_nb, gw_nb = _run_backend("numba", x, w, gy, d, k)
-    assert y_nb.dtype == dtype and gw_nb.dtype == dtype
-    tol = 1e-5 if dtype == np.float32 else 1e-10
-    assert max_rel_err(y_np, y_nb) <= tol
-    assert max_rel_err(gw_np, gw_nb) <= tol
-    _assert_matches_oracles(y_nb, gw_nb, x, w, gy, d, k, tol)
 
 
 def test_weight_grad_is_adjoint_of_conv(rng):
@@ -77,7 +49,3 @@ def test_weight_grad_is_adjoint_of_conv(rng):
     rhs = float((w * kernels.conv_weight_grad(x, gy, d, k)).sum())
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
-
-def test_backend_selection_errors():
-    with pytest.raises(ValueError):
-        kernels.set_backend("cuda")

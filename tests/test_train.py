@@ -3,6 +3,7 @@ and generator phases, checkpoint round trips and the 1-D WGAN-GP sanity
 setup with a linear critic."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,24 @@ def test_resume_continues_iteration(toy_samples, tmp_path):
         list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=3), resume=cks[-1]))
     out = list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=4), resume=ck))
     assert out[-1].iteration == 4
+
+
+def test_yielded_moments_do_not_move_with_training(toy_samples):
+    samples, fcfg = toy_samples
+    cfg = _tiny_run_cfg(fcfg, steps=2)
+    cfg = replace(cfg, train=replace(cfg.train, checkpoint_every=1))
+    run = train.train_t2m(samples, cfg)
+    ck = next(run)
+    at_yield = {
+        (which, table, k): v.copy()
+        for which, tables in (("opt", ck.opt), ("disc_opt", ck.disc_opt))
+        for table in ("m", "v")
+        for k, v in tables[table].items()
+    }
+    assert at_yield
+    assert next(run).iteration == 2  # one more step of both optimizers
+    for (which, table, k), v in at_yield.items():
+        np.testing.assert_array_equal(getattr(ck, which)[table][k], v)
 
 
 def test_ssrn_batch_shapes(toy_samples):
