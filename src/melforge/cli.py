@@ -116,17 +116,15 @@ def cmd_train(args) -> int:
         resume = train.load_checkpoint(
             args.resume, expect_hash=feature_hash(cfg.dsp), force=args.force
         )
-    loop = train.train_t2m if args.model == "t2m" else train.train_ssrn
     log_path = out / f"{args.model}_log.jsonl"
     last = None
-    for ckpt in loop(samples, cfg, log_path=log_path, resume=resume):
-        path = out / f"{args.model}_{ckpt.iteration:07d}.mfck"
-        train.save_checkpoint(ckpt, path)
-        last = path
+    for last in train.train_stage(args.model, samples, cfg, log_path=log_path, resume=resume):
+        path = out / f"{args.model}_{last.iteration:07d}.mfck"
+        train.save_checkpoint(last, path)
         print(f"checkpoint: {path}")
     if last is not None:
         latest = out / f"{args.model}_latest.mfck"
-        latest.write_bytes(last.read_bytes())
+        train.save_checkpoint(last, latest)
         print(f"latest: {latest}")
     return 0
 
@@ -320,10 +318,11 @@ def _discriminator_backend(real_files, synth_files, spec_str):
     _, ckpt_path, variant = parts
     ck = train.load_checkpoint(ckpt_path)
     run_cfg = RunConfig.from_dict(ck.config)
-    mcfg = run_cfg.model
-    in_channels = mcfg.n_mels if ck.model_id == "t2m" else mcfg.n_bins
+    stage = train.STAGES[ck.model_id]
     dcfg = model.DiscriminatorConfig(
-        in_channels=in_channels, channels=run_cfg.train.disc_channels, variant=variant
+        in_channels=stage.channels(run_cfg.model),
+        channels=run_cfg.train.disc_channels,
+        variant=variant,
     )
     params = _params_from(ck.disc_params)
     needed = set(model.init_discriminator_params(dcfg, np.random.default_rng(0)))
@@ -338,8 +337,8 @@ def _discriminator_backend(real_files, synth_files, spec_str):
         wave = dsp.read_wav(path)
         if wave.sample_rate != run_cfg.dsp.sample_rate:
             wave = dsp.resample(wave, run_cfg.dsp.sample_rate)
-        lin, _, dmel = dsp.wave_to_features(wave, run_cfg.dsp)
-        spec = dmel.values if ck.model_id == "t2m" else lin.values
+        feats = dict(zip(("lin", "mel", "dmel"), dsp.wave_to_features(wave, run_cfg.dsp)))
+        spec = feats[stage.feature].values
         return float(model.discriminator_forward(spec, dcfg, params).data)
 
     return [score(f) for f in real_files], [score(f) for f in synth_files]
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     prep.set_defaults(func=cmd_prepare)
 
     tr = sub.add_parser("train", help="adversarial training of t2m or ssrn")
-    tr.add_argument("model", choices=("t2m", "ssrn"))
+    tr.add_argument("model", choices=tuple(train.STAGES))
     tr.add_argument("--manifest", required=True)
     tr.add_argument("--embeddings", required=True)
     tr.add_argument("--out", required=True)

@@ -145,6 +145,7 @@ TENC_DILATIONS = (1, 3, 9, 27, 1, 3, 9, 27)
 ASENC_DILATIONS = (1, 3, 9, 27, 1, 3)
 ADEC_DILATIONS = (1, 3, 9, 27, 1, 1)
 SSRN_BLOCK_DILATIONS = (1, 3)
+SSRN_UPSAMPLE = 4  # the two stride-2 transposed convs of ssrn_forward
 
 
 def init_t2m_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:

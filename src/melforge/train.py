@@ -10,15 +10,20 @@ order.
 
 Checkpoints are binary: magic "MFCK", version, a JSON metadata block, then
 a tensor table of little-endian float32 buffers (parameters and optimizer
-moments), giving bit-exact round trips.
+moments), giving bit-exact round trips.  The metadata also carries the loop
+state, the training generator's bit-generator state and the batch queue, so
+a resumed run continues bit for bit as the uninterrupted run would.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +38,11 @@ from .model import DiscriminatorConfig
 from .textproc import CharVocab, encode
 
 CKPT_MAGIC = b"MFCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+# metadata a loaded checkpoint must carry
+_REQUIRED_META = (
+    "model_id", "iteration", "vocab", "feature_hash", "rng_state", "batch_queue"
+)
 
 
 @dataclass
@@ -49,6 +58,8 @@ class Checkpoint:
     vocab: str
     feature_hash: str
     config: dict = field(default_factory=dict)
+    rng_state: dict = field(default_factory=dict)  # bit_generator.state
+    batch_queue: list[int] = field(default_factory=list)  # BatchIterator.queue
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +98,15 @@ def _read_tensor_table(f, path) -> dict[str, np.ndarray]:
             table[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
         except struct.error as e:
             raise FormatError(f"{path}: truncated at offset {f.tell()} ({e})") from e
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: tensor name at offset {f.tell()} is not UTF-8") from e
     return table
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write through a temporary file in the target directory and rename it
+    into place, so a crash leaves the old file or the new one, never a part."""
+    path = Path(path)
     meta = {
         "model_id": ckpt.model_id,
         "iteration": ckpt.iteration,
@@ -99,22 +115,30 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "config": ckpt.config,
         "opt_t": ckpt.opt_t,
         "disc_opt_t": ckpt.disc_opt_t,
+        "rng_state": ckpt.rng_state,
+        "batch_queue": ckpt.batch_queue,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for table in (
-            ckpt.params,
-            ckpt.disc_params,
-            ckpt.opt.get("m", {}),
-            ckpt.opt.get("v", {}),
-            ckpt.disc_opt.get("m", {}),
-            ckpt.disc_opt.get("v", {}),
-        ):
-            _write_tensor_table(f, table)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", CKPT_VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for table in (
+                ckpt.params,
+                ckpt.disc_params,
+                ckpt.opt.get("m", {}),
+                ckpt.opt.get("v", {}),
+                ckpt.disc_opt.get("m", {}),
+                ckpt.disc_opt.get("v", {}),
+            ):
+                _write_tensor_table(f, table)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, expect_hash: str | None = None, force: bool = False) -> Checkpoint:
@@ -132,6 +156,13 @@ def load_checkpoint(path, expect_hash: str | None = None, force: bool = False) -
             meta = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatError(f"{path}: bad metadata block ({e})") from e
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: metadata is not a JSON object")
+        missing = [k for k in _REQUIRED_META if k not in meta]
+        if missing:
+            raise FormatError(f"{path}: metadata lacks {', '.join(missing)}")
+        if not isinstance(meta["model_id"], str) or meta["model_id"] not in STAGES:
+            raise FormatError(f"{path}: unknown model_id {meta['model_id']!r}")
         params = _read_tensor_table(f, path)
         disc_params = _read_tensor_table(f, path)
         m = _read_tensor_table(f, path)
@@ -155,6 +186,8 @@ def load_checkpoint(path, expect_hash: str | None = None, force: bool = False) -
         vocab=meta["vocab"],
         feature_hash=meta["feature_hash"],
         config=meta.get("config", {}),
+        rng_state=meta["rng_state"],
+        batch_queue=meta["batch_queue"],
     )
 
 
@@ -213,28 +246,19 @@ def load_training_samples(
     return samples
 
 
-def _pad_stack(arrs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(B, C, Tmax) plus (B, 1, Tmax) validity mask."""
-    b = len(arrs)
-    c = arrs[0].shape[0]
-    tmax = max(a.shape[1] for a in arrs)
-    out = np.zeros((b, c, tmax), dtype=np.float32)
-    mask = np.zeros((b, 1, tmax), dtype=np.float32)
+def _pad(arrs: list[np.ndarray], length: int | None = None, dtype=np.float32):
+    """Stack arrays zero-padded (or cut) along their last axis to ``length``,
+    by default the longest, plus a validity mask with singleton middle axes:
+    (B, T) for 1-D arrays, (B, 1, T) for (C, T) ones."""
+    length = max(a.shape[-1] for a in arrs) if length is None else length
+    lead = arrs[0].shape[:-1]
+    out = np.zeros((len(arrs), *lead, length), dtype=dtype)
+    mask = np.zeros((len(arrs), *(1,) * len(lead), length), dtype=np.float32)
     for i, a in enumerate(arrs):
-        out[i, :, : a.shape[1]] = a
-        mask[i, :, : a.shape[1]] = 1.0
+        t = min(a.shape[-1], length)
+        out[i, ..., :t] = a[..., :t]
+        mask[i, ..., :t] = 1.0
     return out, mask
-
-
-def _pad_texts(texts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    b = len(texts)
-    nmax = max(t.size for t in texts)
-    idx = np.zeros((b, nmax), dtype=np.int64)
-    mask = np.zeros((b, nmax), dtype=np.float32)
-    for i, t in enumerate(texts):
-        idx[i, : t.size] = t
-        mask[i, : t.size] = 1.0
-    return idx, mask
 
 
 class BatchIterator:
@@ -254,14 +278,22 @@ class BatchIterator:
             self._groups.append(group)
         self._samples = samples
         self._rng = rng
-        self._queue: list[list[int]] = []
+        self.queue: list[int] = []  # group indices, popped from the end
 
     def next(self) -> list[Sample]:
-        if not self._queue:
-            perm = self._rng.permutation(len(self._groups))
-            self._queue = [self._groups[i] for i in perm]
-        group = self._queue.pop()
-        return [self._samples[i] for i in group]
+        if not self.queue:
+            self.queue = self._rng.permutation(len(self._groups)).tolist()
+        return [self._samples[i] for i in self._groups[self.queue.pop()]]
+
+    def restore_queue(self, queue: list[int]) -> None:
+        """Continue from a queue saved by a run over the same groups."""
+        n = len(self._groups)
+        bad = [i for i in queue if type(i) is not int or not 0 <= i < n]
+        if bad:
+            raise CompatibilityError(
+                f"checkpoint batch queue names groups {bad[:5]} outside the {n} of this run"
+            )
+        self.queue = list(queue)
 
 
 # ---------------------------------------------------------------------------
@@ -349,54 +381,132 @@ def _restore_opt(opt: AdamState, tables: dict[str, dict[str, np.ndarray]], t: in
 
 
 # ---------------------------------------------------------------------------
+# training stages
+# ---------------------------------------------------------------------------
+
+
+def _t2m_batch(batch, mcfg, gen_params):
+    dmel, fmask = _pad([s.dmel for s in batch])
+
+    def forward():
+        texts, tmask = _pad([s.text_idx for s in batch], dtype=np.int64)
+        spk = np.stack([s.spk for s in batch]).astype(np.float32)
+        y, a = model.t2m_teacher_forced(texts, dmel, spk, gen_params, mcfg, tmask)
+
+        def recon():
+            w, amask = _guided_batch(tmask, fmask)
+            return losses.recon_loss_t2m(y, Tensor(dmel), a, w, mask=fmask, attn_mask=amask)
+
+        return y, recon
+
+    return dmel, fmask, forward
+
+
+def _ssrn_batch(batch, mcfg, gen_params):
+    dmel, _ = _pad([s.dmel for s in batch])
+    lin, mask = _pad([s.lin for s in batch], dmel.shape[2] * mcfg.downsample)
+
+    def forward():
+        y = model.ssrn_forward(dmel, gen_params, mcfg)
+        return y, lambda: losses.recon_loss_ssrn(y, Tensor(lin), mask=mask)
+
+    return lin, mask, forward
+
+
+def _guided_batch(tmask: np.ndarray, fmask: np.ndarray):
+    """Per-sample guided weight grids (true N_i x T_i denominators) and a
+    validity mask, both padded to the batch shape."""
+    b, nmax = tmask.shape
+    t_frames = fmask.shape[2]
+    w = np.zeros((b, nmax, t_frames), dtype=np.float32)
+    m = np.zeros((b, nmax, t_frames), dtype=np.float32)
+    for i in range(b):
+        n = int(tmask[i].sum())
+        t = int(fmask[i, 0].sum())
+        w[i, :n, :t] = losses.guided_weights(n, t)
+        m[i, :n, :t] = 1.0
+    return w, m
+
+
+@dataclass(frozen=True)
+class Stage:
+    """What differs between the Text2Mel and SSRN stages.
+
+    ``batch(samples, mcfg, gen_params)`` returns the zero-padded real
+    features (the generator target, which the critic also scores), their
+    (B, 1, T) frame mask, and ``forward()``, which runs the generator in the
+    caller's grad mode and returns its output and a reconstruction-loss
+    thunk.  Entries call ``model``/``losses`` through module attributes.
+    """
+
+    init: Callable  # (ModelConfig, rng) -> generator parameters
+    feature: str  # the Sample field the critic scores
+    channels: Callable  # ModelConfig -> critic input channels
+    batch: Callable
+
+
+STAGES = {
+    "t2m": Stage(
+        init=lambda mcfg, rng: model.init_t2m_params(mcfg, rng),
+        feature="dmel",
+        channels=lambda mcfg: mcfg.n_mels,
+        batch=_t2m_batch,
+    ),
+    "ssrn": Stage(
+        init=lambda mcfg, rng: model.init_ssrn_params(mcfg, rng),
+        feature="lin",
+        channels=lambda mcfg: mcfg.n_bins,
+        batch=_ssrn_batch,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # training loops
 # ---------------------------------------------------------------------------
 
 
-def train_t2m(
+def train_t2m(samples, run_cfg, log_path=None, resume=None, vocab=None):
+    """Text2Mel training: `train_stage` for "t2m"."""
+    yield from train_stage("t2m", samples, run_cfg, log_path, resume, vocab)
+
+
+def train_ssrn(samples, run_cfg, log_path=None, resume=None, vocab=None):
+    """SSRN training: `train_stage` for "ssrn"."""
+    yield from train_stage("ssrn", samples, run_cfg, log_path, resume, vocab)
+
+
+def train_stage(
+    model_id: str,
     samples: list[Sample],
     run_cfg: RunConfig,
     log_path=None,
     resume: Checkpoint | None = None,
     vocab: CharVocab | None = None,
 ):
-    """Yields a Checkpoint every ``checkpoint_every`` steps and at the end."""
-    yield from _train_loop(samples, run_cfg, "t2m", log_path, resume, vocab)
-
-
-def train_ssrn(
-    samples: list[Sample],
-    run_cfg: RunConfig,
-    log_path=None,
-    resume: Checkpoint | None = None,
-    vocab: CharVocab | None = None,
-):
-    yield from _train_loop(samples, run_cfg, "ssrn", log_path, resume, vocab)
-
-
-def _train_loop(samples, run_cfg, model_id, log_path, resume, vocab):
+    """Train ``STAGES[model_id]``; yields a Checkpoint every
+    ``checkpoint_every`` steps and at the end."""
+    stage = STAGES[model_id]
     tcfg = run_cfg.train
     mcfg = run_cfg.model
+    if not mcfg.downsample == run_cfg.dsp.downsample == model.SSRN_UPSAMPLE:
+        raise CompatibilityError(
+            f"model.downsample {mcfg.downsample} and dsp.downsample {run_cfg.dsp.downsample}"
+            f" must both be {model.SSRN_UPSAMPLE}, the factor SSRN restores"
+        )
     vocab = vocab or CharVocab()
     rng = np.random.default_rng(tcfg.seed)
-    if model_id == "t2m":
-        gen_params = model.init_t2m_params(mcfg, rng)
-        dcfg = DiscriminatorConfig(
-            in_channels=mcfg.n_mels,
-            channels=tcfg.disc_channels,
-            variant=tcfg.disc_variant,
-        )
-        length_key = lambda s: s.dmel.shape[1]
-    else:
-        gen_params = model.init_ssrn_params(mcfg, rng)
-        dcfg = DiscriminatorConfig(
-            in_channels=mcfg.n_bins,
-            channels=tcfg.disc_channels,
-            variant=tcfg.disc_variant,
-        )
-        length_key = lambda s: s.lin.shape[1]
+    gen_params = stage.init(mcfg, rng)
+    dcfg = DiscriminatorConfig(
+        in_channels=stage.channels(mcfg),
+        channels=tcfg.disc_channels,
+        variant=tcfg.disc_variant,
+    )
     disc_params = model.init_discriminator_params(dcfg, rng)
     gen_opt, disc_opt = _adam(tcfg), _adam(tcfg)
+    batches = BatchIterator(
+        samples, tcfg.batch_size, rng, lambda s: getattr(s, stage.feature).shape[1]
+    )
     start = 0
     if resume is not None:
         if resume.model_id != model_id:
@@ -408,7 +518,11 @@ def _train_loop(samples, run_cfg, model_id, log_path, resume, vocab):
         _restore_opt(gen_opt, resume.opt, resume.opt_t)
         _restore_opt(disc_opt, resume.disc_opt, resume.disc_opt_t)
         start = resume.iteration
-    batches = BatchIterator(samples, tcfg.batch_size, rng, length_key)
+        batches.restore_queue(resume.batch_queue)
+        try:
+            rng.bit_generator.state = resume.rng_state
+        except (KeyError, TypeError, ValueError) as e:
+            raise CompatibilityError(f"checkpoint rng state does not fit: {e!r}") from e
     fhash = feature_hash(run_cfg.dsp)
     log_f = open(log_path, "a", encoding="utf-8") if log_path else None
 
@@ -425,6 +539,8 @@ def _train_loop(samples, run_cfg, model_id, log_path, resume, vocab):
             vocab=vocab.chars,
             feature_hash=fhash,
             config=run_cfg.to_dict(),
+            rng_state=rng.bit_generator.state,
+            batch_queue=list(batches.queue),
         )
 
     disc_fwd = lambda x: model.discriminator_forward(x, dcfg, disc_params)
@@ -437,20 +553,25 @@ def _train_loop(samples, run_cfg, model_id, log_path, resume, vocab):
             if gan_on:
                 # one generated batch is scored against fresh real batches
                 # in all n_critic updates (only the critic moves here)
-                fake = _fake_batch(batches.next(), model_id, gen_params, mcfg)
+                _, mask, forward = stage.batch(batches.next(), mcfg, gen_params)
+                with ad.no_grad():
+                    y, _ = forward()
+                fake = (y.data * mask).astype(np.float32)
                 for _ in range(tcfg.n_critic):
-                    real = _real_batch(batches.next(), model_id, mcfg)
+                    real, _, _ = stage.batch(batches.next(), mcfg, gen_params)
                     real_a, fake_a = _align_time(real, fake)
                     critic_stats = critic_update(
                         real_a, fake_a, disc_fwd, disc_params, disc_opt, rng,
                         tcfg.gp_weight,
                     )
                     n_critic_done += 1
-            batch = batches.next()
-            recon, gan_loss = _generator_losses(
-                batch, model_id, gen_params, mcfg, disc_fwd if gan_on else None
-            )
-            gen_stats = generator_update(recon, gan_loss, gen_params, gen_opt)
+            _, mask, forward = stage.batch(batches.next(), mcfg, gen_params)
+            y, recon = forward()
+            recon_loss = recon()
+            gan_loss = None
+            if gan_on:
+                gan_loss = losses.wgan_generator_loss(disc_fwd(ad.mul(y, Tensor(mask))))
+            gen_stats = generator_update(recon_loss, gan_loss, gen_params, gen_opt)
             if not all(np.isfinite(v) for v in gen_stats.values()):
                 raise TrainingAborted(f"non-finite loss at step {step}")
             if log_f and ((step + 1) % tcfg.log_every == 0 or step == start):
@@ -472,55 +593,6 @@ def _train_loop(samples, run_cfg, model_id, log_path, resume, vocab):
             log_f.close()
 
 
-def _t2m_batch(batch, mcfg, gen_params, with_grad: bool):
-    texts, tmask = _pad_texts([s.text_idx for s in batch])
-    dmel, fmask = _pad_stack([s.dmel for s in batch])
-    spk = np.stack([s.spk for s in batch]).astype(np.float32)
-    ctx = ad.set_grad_enabled(with_grad)
-    with ctx:
-        y, a = model.t2m_teacher_forced(texts, dmel, spk, gen_params, mcfg, tmask)
-    return texts, tmask, dmel, fmask, y, a
-
-
-def _ssrn_batch(batch, mcfg, gen_params, with_grad: bool):
-    dmel, _ = _pad_stack([s.dmel for s in batch])
-    factor = mcfg.downsample
-    t_out = dmel.shape[2] * factor
-    lin_raw = [s.lin for s in batch]
-    lin = np.zeros((len(batch), mcfg.n_bins, t_out), dtype=np.float32)
-    mask = np.zeros((len(batch), 1, t_out), dtype=np.float32)
-    for i, a in enumerate(lin_raw):
-        t = min(a.shape[1], t_out)
-        lin[i, :, :t] = a[:, :t]
-        mask[i, :, :t] = 1.0
-    with ad.set_grad_enabled(with_grad):
-        y = model.ssrn_forward(dmel, gen_params, mcfg)
-    return lin, mask, y
-
-
-def _real_batch(batch, model_id, mcfg) -> np.ndarray:
-    """Padded real feature batch with padding zeroed."""
-    if model_id == "t2m":
-        dmel, fmask = _pad_stack([s.dmel for s in batch])
-        return (dmel * fmask).astype(np.float32)
-    factor = mcfg.downsample
-    lin, mask = _pad_stack([s.lin for s in batch])
-    t_out = -(-lin.shape[2] // factor) * factor
-    if t_out != lin.shape[2]:
-        lin = np.pad(lin, ((0, 0), (0, 0), (0, t_out - lin.shape[2])))
-        mask = np.pad(mask, ((0, 0), (0, 0), (0, t_out - mask.shape[2])))
-    return (lin * mask).astype(np.float32)
-
-
-def _fake_batch(batch, model_id, gen_params, mcfg) -> np.ndarray:
-    """Detached generated feature batch with padding zeroed."""
-    if model_id == "t2m":
-        _, _, _, fmask, y, _ = _t2m_batch(batch, mcfg, gen_params, with_grad=False)
-        return (y.data * fmask).astype(np.float32)
-    _, mask, y = _ssrn_batch(batch, mcfg, gen_params, with_grad=False)
-    return (y.data * mask).astype(np.float32)
-
-
 def _align_time(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-pad the shorter of two (B, C, T) batches to a common T."""
     t = max(a.shape[2], b.shape[2])
@@ -529,36 +601,3 @@ def _align_time(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if b.shape[2] < t:
         b = np.pad(b, ((0, 0), (0, 0), (0, t - b.shape[2])))
     return a, b
-
-
-def _generator_losses(batch, model_id, gen_params, mcfg, disc_fwd):
-    if model_id == "t2m":
-        texts, tmask, dmel, fmask, y, a = _t2m_batch(
-            batch, mcfg, gen_params, with_grad=True
-        )
-        w, amask = _guided_batch(tmask, fmask)
-        recon = losses.recon_loss_t2m(y, Tensor(dmel), a, w, mask=fmask, attn_mask=amask)
-        fake_masked = ad.mul(y, Tensor(fmask))
-    else:
-        lin, mask, y = _ssrn_batch(batch, mcfg, gen_params, with_grad=True)
-        recon = losses.recon_loss_ssrn(y, Tensor(lin), mask=mask)
-        fake_masked = ad.mul(y, Tensor(mask))
-    gan_loss = None
-    if disc_fwd is not None:
-        gan_loss = losses.wgan_generator_loss(disc_fwd(fake_masked))
-    return recon, gan_loss
-
-
-def _guided_batch(tmask: np.ndarray, fmask: np.ndarray):
-    """Per-sample guided weight grids (true N_i x T_i denominators) and a
-    validity mask, both padded to the batch shape."""
-    b, nmax = tmask.shape
-    t_frames = fmask.shape[2]
-    w = np.zeros((b, nmax, t_frames), dtype=np.float32)
-    m = np.zeros((b, nmax, t_frames), dtype=np.float32)
-    for i in range(b):
-        n = int(tmask[i].sum())
-        t = int(fmask[i, 0].sum())
-        w[i, :n, :t] = losses.guided_weights(n, t)
-        m[i, :n, :t] = 1.0
-    return w, m

@@ -91,6 +91,24 @@ def trained_dir(prepared_dir, toy_corpus, tmp_path_factory, tiny_cfg_file):
     return out
 
 
+@pytest.mark.parametrize("section,factor", [("model", 2), ("model", 8), ("dsp", 8)])
+def test_train_refuses_downsample_ssrn_cannot_restore(
+    prepared_dir, toy_corpus, tiny_cfg_file, tmp_path, section, factor
+):
+    cfg = json.loads(tiny_cfg_file.read_text())
+    cfg.setdefault(section, {})["downsample"] = factor
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    for m in ("t2m", "ssrn"):
+        code = run_cli(
+            "train", m,
+            "--manifest", prepared_dir / "train.jsonl",
+            "--embeddings", toy_corpus / "embeddings.mfem",
+            "--out", tmp_path / "out", "--config", tmp_path / "cfg.json",
+        )
+        assert code == 4
+    assert not list((tmp_path / "out").glob("*.mfck"))
+
+
 def test_synth_and_determinism(trained_dir, toy_corpus, tmp_path):
     text = tmp_path / "t.txt"
     text.write_text("ab c d.")
@@ -242,17 +260,18 @@ def test_eval_antispoof_identical_sets_eer_half(toy_corpus, tmp_path):
 
 
 def test_eval_antispoof_discriminator_backend(trained_dir, toy_corpus, tmp_path):
-    out = tmp_path / "anti3"
-    code = run_cli(
-        "eval-antispoof",
-        "--real", toy_corpus / "spk0",
-        "--synth", toy_corpus / "spk1",
-        "--backend", f"discriminator:{trained_dir / 't2m_latest.mfck'}:v1",
-        "--out", out,
-    )
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["backend"].endswith(":v1")
+    for m in ("t2m", "ssrn"):
+        out = tmp_path / f"anti3_{m}"
+        code = run_cli(
+            "eval-antispoof",
+            "--real", toy_corpus / "spk0",
+            "--synth", toy_corpus / "spk1",
+            "--backend", f"discriminator:{trained_dir / f'{m}_latest.mfck'}:v1",
+            "--out", out,
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["backend"].endswith(":v1")
     # v2 needs parameters the base checkpoint lacks -> compatibility exit
     code = run_cli(
         "eval-antispoof",

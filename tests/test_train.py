@@ -3,13 +3,14 @@ and generator phases, checkpoint round trips and the 1-D WGAN-GP sanity
 setup with a linear critic."""
 
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import melforge.autodiff as ad
-from melforge import train
+from melforge import losses, model, train
 from melforge.autodiff import AdamState, Tensor, ops
 from melforge.config import RunConfig, TrainConfig
 from melforge.errors import CompatibilityError, FormatError
@@ -81,35 +82,33 @@ def test_critic_and_generator_updates_are_isolated(toy_samples):
     vice versa."""
     samples, fcfg = toy_samples
     cfg = _tiny_run_cfg(fcfg)
-    rng = np.random.default_rng(0)
-    import melforge.model as model
+    for stage in train.STAGES.values():
+        rng = np.random.default_rng(0)
+        gen_params = stage.init(cfg.model, rng)
+        dcfg = model.DiscriminatorConfig(in_channels=stage.channels(cfg.model), channels=8)
+        disc_params = model.init_discriminator_params(dcfg, rng)
+        disc_fwd = lambda x: model.discriminator_forward(x, dcfg, disc_params)
+        gen_before = {k: v.data.copy() for k, v in gen_params.items()}
+        _, mask, forward = stage.batch(samples[:4], cfg.model, gen_params)
+        with ad.no_grad():
+            y, _ = forward()
+        fake = (y.data * mask).astype(np.float32)
+        real, _, _ = stage.batch(samples[:4], cfg.model, gen_params)
+        real, fake = train._align_time(real, fake)
+        train.critic_update(real, fake, disc_fwd, disc_params, AdamState(), rng, 10.0)
+        for k in gen_params:
+            np.testing.assert_array_equal(gen_params[k].data, gen_before[k])
 
-    gen_params = model.init_t2m_params(cfg.model, rng)
-    dcfg = model.DiscriminatorConfig(in_channels=cfg.model.n_mels, channels=8)
-    disc_params = model.init_discriminator_params(dcfg, rng)
-    gen_before = {k: v.data.copy() for k, v in gen_params.items()}
-    fake = train._fake_batch(samples[:4], "t2m", gen_params, cfg.model)
-    real = train._real_batch(samples[:4], "t2m", cfg.model)
-    real, fake = train._align_time(real, fake)
-    train.critic_update(
-        real, fake,
-        lambda x: model.discriminator_forward(x, dcfg, disc_params),
-        disc_params, AdamState(), rng, 10.0,
-    )
-    for k in gen_params:
-        np.testing.assert_array_equal(gen_params[k].data, gen_before[k])
-
-    disc_before = {k: v.data.copy() for k, v in disc_params.items()}
-    recon, gan = train._generator_losses(
-        samples[:4], "t2m", gen_params, cfg.model,
-        lambda x: model.discriminator_forward(x, dcfg, disc_params),
-    )
-    train.generator_update(recon, gan, gen_params, AdamState())
-    for k in disc_params:
-        np.testing.assert_array_equal(disc_params[k].data, disc_before[k])
-    assert any(
-        not np.array_equal(gen_params[k].data, gen_before[k]) for k in gen_params
-    )
+        disc_before = {k: v.data.copy() for k, v in disc_params.items()}
+        _, mask, forward = stage.batch(samples[:4], cfg.model, gen_params)
+        y, recon = forward()
+        gan = losses.wgan_generator_loss(disc_fwd(ad.mul(y, Tensor(mask))))
+        train.generator_update(recon(), gan, gen_params, AdamState())
+        for k in disc_params:
+            np.testing.assert_array_equal(disc_params[k].data, disc_before[k])
+        assert any(
+            not np.array_equal(gen_params[k].data, gen_before[k]) for k in gen_params
+        )
 
 
 def test_checkpoint_roundtrip_and_errors(toy_samples, tmp_path):
@@ -124,6 +123,7 @@ def test_checkpoint_roundtrip_and_errors(toy_samples, tmp_path):
     for k in ck.opt["m"]:
         np.testing.assert_array_equal(ck.opt["m"][k], back.opt["m"][k])
     assert back.vocab == ck.vocab
+    assert back.rng_state == ck.rng_state and back.batch_queue == ck.batch_queue
 
     data = path.read_bytes()
     (tmp_path / "cut.mfck").write_bytes(data[: len(data) // 2])
@@ -137,15 +137,84 @@ def test_checkpoint_roundtrip_and_errors(toy_samples, tmp_path):
     # force overrides the hash check
     assert train.load_checkpoint(path, expect_hash="0" * 16, force=True).iteration == 2
 
+    (tmp_path / "v1.mfck").write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+    with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+        train.load_checkpoint(tmp_path / "v1.mfck")
+    (mlen,) = struct.unpack("<I", data[8:12])
+    meta, tables = json.loads(data[12 : 12 + mlen]), data[12 + mlen :]
+
+    def with_meta(obj, tail=tables):
+        blob = json.dumps(obj).encode("utf-8")
+        bad = tmp_path / "bad.mfck"
+        bad.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + tail)
+        return bad
+
+    bad_metas = [[meta], "t2m", {**meta, "model_id": "vocoder"}, {**meta, "model_id": 1}]
+    for key in train._REQUIRED_META:
+        bad_metas.append({k: v for k, v in meta.items() if k != key})
+    for bad_meta in bad_metas:
+        with pytest.raises(FormatError):
+            train.load_checkpoint(with_meta(bad_meta))
+    # the first tensor name of the first table, made undecodable
+    (nlen,) = struct.unpack("<H", tables[4:6])
+    bad_name = tables[:6] + b"\xff" * nlen + tables[6 + nlen :]
+    with pytest.raises(FormatError, match="not UTF-8"):
+        train.load_checkpoint(with_meta(meta, bad_name))
+
+
+def test_save_checkpoint_leaves_old_file_on_crash(toy_samples, tmp_path, monkeypatch):
+    samples, fcfg = toy_samples
+    ck = list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=1)))[-1]
+    path = tmp_path / "ck.mfck"
+    train.save_checkpoint(ck, path)
+    before = path.read_bytes()
+    write_table = train._write_tensor_table
+    calls = []
+
+    def crash_in_second_table(f, table):
+        calls.append(1)
+        if len(calls) == 2:
+            f.write(b"partial")
+            raise OSError("disk full")
+        write_table(f, table)
+
+    monkeypatch.setattr(train, "_write_tensor_table", crash_in_second_table)
+    ck.iteration = 7
+    with pytest.raises(OSError, match="disk full"):
+        train.save_checkpoint(ck, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.mfck"]
+
 
 def test_resume_continues_iteration(toy_samples, tmp_path):
+    """2 steps, save, load and 2 more steps equal 4 uninterrupted steps bit
+    for bit, in both stages."""
     samples, fcfg = toy_samples
-    ck = list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=2)))[-1]
-    cks = list(train.train_ssrn(samples, _tiny_run_cfg(fcfg, steps=2)))
+    halves = {}
+    for model_id, loop in (("t2m", train.train_t2m), ("ssrn", train.train_ssrn)):
+        full = list(loop(samples, _tiny_run_cfg(fcfg, steps=4)))[-1]
+        half = list(loop(samples, _tiny_run_cfg(fcfg, steps=2)))[-1]
+        train.save_checkpoint(half, tmp_path / "h.mfck")
+        halves[model_id] = half = train.load_checkpoint(tmp_path / "h.mfck")
+        out = list(loop(samples, _tiny_run_cfg(fcfg, steps=4), resume=half))[-1]
+        assert out.iteration == 4
+        assert (out.opt_t, out.disc_opt_t) == (full.opt_t, full.disc_opt_t)
+        for got, want in (
+            (out.params, full.params),
+            (out.disc_params, full.disc_params),
+            (out.opt["m"], full.opt["m"]),
+            (out.opt["v"], full.opt["v"]),
+            (out.disc_opt["m"], full.disc_opt["m"]),
+            (out.disc_opt["v"], full.disc_opt["v"]),
+        ):
+            assert got.keys() == want.keys()
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k])
     with pytest.raises(CompatibilityError):
-        list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=3), resume=cks[-1]))
-    out = list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=4), resume=ck))
-    assert out[-1].iteration == 4
+        list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=3), resume=halves["ssrn"]))
+    bad_queue = replace(halves["t2m"], batch_queue=[0, 99])
+    with pytest.raises(CompatibilityError, match="queue"):
+        list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=3), resume=bad_queue))
 
 
 def test_yielded_moments_do_not_move_with_training(toy_samples):
@@ -166,16 +235,35 @@ def test_yielded_moments_do_not_move_with_training(toy_samples):
         np.testing.assert_array_equal(getattr(ck, which)[table][k], v)
 
 
-def test_ssrn_batch_shapes(toy_samples):
-    import melforge.model as model
-
+@pytest.mark.parametrize("model_id", ["t2m", "ssrn"])
+def test_stage_batch_shapes(toy_samples, model_id):
     samples, fcfg = toy_samples
     cfg = _tiny_run_cfg(fcfg)
-    params = model.init_ssrn_params(cfg.model, np.random.default_rng(0))
-    lin, mask, y = train._ssrn_batch(samples[:4], cfg.model, params, with_grad=False)
-    assert lin.shape[0] == 4 and lin.shape[1] == cfg.model.n_bins
-    assert lin.shape[2] % cfg.model.downsample == 0
-    assert y.shape == lin.shape
+    stage = train.STAGES[model_id]
+    params = stage.init(cfg.model, np.random.default_rng(0))
+    real, mask, forward = stage.batch(samples[:4], cfg.model, params)
+    assert real.shape[:2] == (4, stage.channels(cfg.model))
+    assert mask.shape == (4, 1, real.shape[2])
+    if stage.feature == "lin":
+        assert real.shape[2] % cfg.model.downsample == 0
+    # the critic's real batch as it was built apart from the generator
+    # target: each feature zero-padded to the longest, lin then to a
+    # multiple of the factor
+    feats = [getattr(s, stage.feature) for s in samples[:4]]
+    t = max(f.shape[1] for f in feats)
+    if stage.feature == "lin":
+        t = -(-t // cfg.model.downsample) * cfg.model.downsample
+    expect = np.zeros((4, feats[0].shape[0], t), dtype=np.float32)
+    expect_mask = np.zeros((4, 1, t), dtype=np.float32)
+    for i, f in enumerate(feats):
+        expect[i, :, : f.shape[1]] = f
+        expect_mask[i, :, : f.shape[1]] = 1.0
+    np.testing.assert_array_equal(real, expect)
+    np.testing.assert_array_equal(mask, expect_mask)
+    with ad.no_grad():
+        y, recon = forward()
+        assert y.shape == real.shape
+        assert np.isfinite(float(recon().data))
 
 
 def test_wgan_gp_sanity_1d_two_point():
