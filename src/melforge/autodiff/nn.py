@@ -1,9 +1,10 @@
 """Network layers built from the differentiable primitives.
 
-Layout convention: activations are (B, C, T) or (C, T); kernels are
-(C_out, C_in, K).  Same-length padding is applied here, not in the
-primitives.  1x1 convolutions lower to a plain matmul, which is faster
-for wide channel counts.
+Layout convention: activations are (B, C, T) and nothing else; a 2-D
+input is refused with a ``ValueError``, so a missing batch axis cannot be
+mistaken for one.  Kernels are (C_out, C_in, K).  Same-length padding is
+applied here, not in the primitives.  1x1 convolutions lower to a plain
+matmul, which is faster for wide channel counts.
 """
 
 from __future__ import annotations
@@ -14,17 +15,11 @@ from . import ops
 from .tensor import Tensor, as_tensor
 
 
-def _promote(x):
+def _batched(x) -> Tensor:
     x = as_tensor(x)
-    if x.ndim == 2:
-        return ops.reshape(x, (1,) + x.shape), True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError(f"expected (C, T) or (B, C, T) input, got shape {x.shape}")
-
-
-def _restore(y, squeeze: bool):
-    return ops.reshape(y, y.shape[1:]) if squeeze else y
+    if x.ndim != 3:
+        raise ValueError(f"expected (B, C, T) input, got shape {x.shape}")
+    return x
 
 
 def conv1d(x, w, b=None, dilation: int = 1, causal: bool = False) -> Tensor:
@@ -33,7 +28,7 @@ def conv1d(x, w, b=None, dilation: int = 1, causal: bool = False) -> Tensor:
     Causal mode pads only on the left, so frame t never sees inputs > t;
     non-causal mode pads symmetrically.
     """
-    x, squeeze = _promote(x)
+    x = _batched(x)
     w = as_tensor(w)
     if w.ndim != 3:
         raise ValueError(f"kernel must be (C_out, C_in, K), got {w.shape}")
@@ -52,7 +47,7 @@ def conv1d(x, w, b=None, dilation: int = 1, causal: bool = False) -> Tensor:
         y = ops.conv_valid(ops.pad_time(x, left, total - left), w, dilation)
     if b is not None:
         y = ops.add(y, ops.reshape(as_tensor(b), (1, -1, 1)))
-    return _restore(y, squeeze)
+    return y
 
 
 def conv1d_transposed(x, w, b=None, stride: int = 1) -> Tensor:
@@ -60,7 +55,7 @@ def conv1d_transposed(x, w, b=None, stride: int = 1) -> Tensor:
     same-padded convolution.  Output length is stride * T."""
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
-    x, squeeze = _promote(x)
+    x = _batched(x)
     w = as_tensor(w)
     if x.shape[1] != w.shape[0]:
         raise ValueError(
@@ -81,7 +76,7 @@ def conv1d_transposed(x, w, b=None, stride: int = 1) -> Tensor:
         y = ops.narrow(ops.conv_valid(z, ops.kernel_adjoint(w), 1), -1, left, t_out)
     if b is not None:
         y = ops.add(y, ops.reshape(as_tensor(b), (1, -1, 1)))
-    return _restore(y, squeeze)
+    return y
 
 
 def highway_block(x, w, b, dilation: int = 1, causal: bool = False) -> Tensor:
@@ -90,7 +85,7 @@ def highway_block(x, w, b, dilation: int = 1, causal: bool = False) -> Tensor:
     A single convolution produces 2C channels split into gate input H1 and
     candidate H2; output = sigmoid(H1) * H2 + (1 - sigmoid(H1)) * x.
     """
-    x, squeeze = _promote(x)
+    x = _batched(x)
     c = x.shape[1]
     w = as_tensor(w)
     if w.shape[0] != 2 * c:
@@ -102,20 +97,20 @@ def highway_block(x, w, b, dilation: int = 1, causal: bool = False) -> Tensor:
     h2 = ops.narrow(h, 1, c, c)
     gate = ops.sigmoid(h1)
     y = ops.add(ops.mul(gate, h2), ops.mul(ops.sub(1.0, gate), x))
-    return _restore(y, squeeze)
+    return y
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Per-time-step normalization over channels, then affine (gain, bias
     are (C,) or (C, 1))."""
-    x, squeeze = _promote(x)
+    x = _batched(x)
     gain = ops.reshape(as_tensor(gain), (1, -1, 1))
     bias = ops.reshape(as_tensor(bias), (1, -1, 1))
     mu = ops.mean(x, axis=1, keepdims=True)
     xc = ops.sub(x, mu)
     var = ops.mean(ops.mul(xc, xc), axis=1, keepdims=True)
     y = ops.div(xc, ops.sqrt(ops.add(var, eps)))
-    return _restore(ops.add(ops.mul(y, gain), bias), squeeze)
+    return ops.add(ops.mul(y, gain), bias)
 
 
 # ---------------------------------------------------------------------------

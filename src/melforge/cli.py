@@ -30,6 +30,7 @@ from .errors import (
     ProtocolError,
     TrainingAborted,
 )
+from .fileio import atomic_write
 
 EXIT_CODES = {
     CorpusError: 2,
@@ -45,6 +46,11 @@ def _echo_config(cfg: RunConfig) -> None:
         json.dumps({"resolved_config": cfg.to_dict(), "feature_hash": feature_hash(cfg.dsp)}),
         file=sys.stderr,
     )
+
+
+def _write_json(path, obj) -> None:
+    with atomic_write(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _load_cfg(args) -> RunConfig:
@@ -87,10 +93,8 @@ def cmd_prepare(args) -> int:
         "ref_mel": ref_mel,
         "feature_hash": feature_hash(fcfg),
     }
-    (out / "split_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    (out / "config.json").write_text(
-        json.dumps(replace(cfg, dsp=fcfg).to_dict(), indent=2, sort_keys=True)
-    )
+    _write_json(out / "split_report.json", report)
+    _write_json(out / "config.json", replace(cfg, dsp=fcfg).to_dict())
     print(
         f"prepared {report['train_utterances']} train / {report['test_utterances']} test"
         f" utterances ({report['train_speakers']} train / {report['test_speakers']} test"
@@ -192,9 +196,9 @@ def cmd_synth(args) -> int:
         "frames": int(dmel.shape[1]),
         "attention_path": [int(p) for p in path],
     }
-    Path(str(args.out) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    _write_json(str(args.out) + ".json", sidecar)
     if args.attention:
-        with open(args.attention, "w", encoding="utf-8") as f:
+        with atomic_write(args.attention) as f:
             f.write("frame,position\n")
             for i, p in enumerate(path):
                 f.write(f"{i},{p}\n")
@@ -226,7 +230,7 @@ def cmd_eval_sv(args) -> int:
         synth_man = corpus.load_manifest(args.synth_manifest)
         enrollment, trials = ev.build_protocol(test_man, synth_man, cfg.protocol)
         ev.write_trial_csv(trials, trials_path)
-        enroll_path.write_text(json.dumps(enrollment, indent=2, sort_keys=True))
+        _write_json(enroll_path, enrollment)
     if args.scores:
         score_map = ev.read_score_csv(args.scores)
         missing = [t.trial_id for t in trials if t.trial_id not in score_map]
@@ -254,11 +258,12 @@ def cmd_eval_sv(args) -> int:
     sr = ev.spoof_rate(synth, threshold)
     curve = ev.sr_frr_curve(target, synth, nontarget)
     ev.write_curve_csv(curve, pdir / "curve.csv")
-    (pdir / "curve.gp").write_text(
-        "set datafile separator ','\n"
-        "set xlabel 'Spoof rate'\nset ylabel 'False rejection rate'\n"
-        "plot 'curve.csv' every ::1 using 2:3 with lines title 'SR vs FRR'\n"
-    )
+    with atomic_write(pdir / "curve.gp") as f:
+        f.write(
+            "set datafile separator ','\n"
+            "set xlabel 'Spoof rate'\nset ylabel 'False rejection rate'\n"
+            "plot 'curve.csv' every ::1 using 2:3 with lines title 'SR vs FRR'\n"
+        )
     report = {
         "eer": eer,
         "threshold": threshold,
@@ -268,7 +273,7 @@ def cmd_eval_sv(args) -> int:
         "n_synthetic": int(synth.size),
         "feature_hash": feature_hash(cfg.dsp),
     }
-    (pdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    _write_json(pdir / "report.json", report)
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -339,7 +344,7 @@ def _discriminator_backend(real_files, synth_files, spec_str):
             wave = dsp.resample(wave, run_cfg.dsp.sample_rate)
         feats = dict(zip(("lin", "mel", "dmel"), dsp.wave_to_features(wave, run_cfg.dsp)))
         spec = feats[stage.feature].values
-        return float(model.discriminator_forward(spec, dcfg, params).data)
+        return float(model.discriminator_forward(spec[None], dcfg, params).data[0])
 
     return [score(f) for f in real_files], [score(f) for f in synth_files]
 
@@ -359,7 +364,7 @@ def cmd_eval_antispoof(args) -> int:
     else:
         raise CorpusError(f"unknown backend {args.backend!r}")
     eer = ev.antispoof_eer(real_scores, synth_scores)
-    with open(out / "antispoof_scores.csv", "w", encoding="utf-8") as f:
+    with atomic_write(out / "antispoof_scores.csv") as f:
         f.write("file,source,score\n")
         for files, scores, src in (
             (real_files, real_scores, "real"),
@@ -374,7 +379,7 @@ def cmd_eval_antispoof(args) -> int:
         "n_synthetic": len(synth_files),
         "feature_hash": feature_hash(cfg.dsp),
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    _write_json(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))
     return 0
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import dsp, textproc
 from .config import feature_hash
 from .errors import CorpusError, FormatError
+from .fileio import atomic_write
 from .model import SpeakerEmbedding, unit_normalized
 
 log = logging.getLogger(__name__)
@@ -135,7 +136,7 @@ def make_split(manifest: Manifest, scheme: SplitScheme) -> tuple[Manifest, Manif
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for r in manifest.records:
             f.write(
                 json.dumps(
@@ -274,9 +275,8 @@ def precompute_features(
     ]
     if not records:
         raise CorpusError("feature precomputation produced no usable records")
-    meta_path.write_text(
-        json.dumps({"hash": h, "config": config.to_dict()}, indent=2, sort_keys=True)
-    )
+    with atomic_write(meta_path) as f:
+        f.write(json.dumps({"hash": h, "config": config.to_dict()}, indent=2, sort_keys=True))
     return Manifest(tuple(records))
 
 
@@ -316,7 +316,7 @@ class EmbeddingStore:
 
 
 def save_embeddings(store: EmbeddingStore, path) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_EMB_MAGIC)
         f.write(struct.pack("<II", store.dim, len(store)))
         for key in sorted(store.keys()):
@@ -338,9 +338,18 @@ def load_embeddings(path) -> EmbeddingStore:
             if len(lb) < 2:
                 raise FormatError(f"{path}: truncated at entry {i}")
             (klen,) = struct.unpack("<H", lb)
-            key = f.read(klen).decode("utf-8")
+            kb = f.read(klen)
+            if len(kb) != klen:
+                raise FormatError(f"{path}: truncated key at entry {i}")
+            try:
+                key = kb.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: key of entry {i} is not UTF-8 ({e})") from e
             vec = f.read(dim * 4)
             if len(vec) != dim * 4:
-                raise FormatError(f"{path}: truncated vector for {key!r}")
-            store.add(key, np.frombuffer(vec, dtype="<f4"))
+                raise FormatError(f"{path}: truncated vector for {key!r} (entry {i})")
+            try:
+                store.add(key, np.frombuffer(vec, dtype="<f4"))
+            except ValueError as e:  # zero or non-finite vector
+                raise FormatError(f"{path}: entry {i} ({key!r}): {e}") from e
     return store

@@ -25,6 +25,7 @@ import scipy.fft
 import scipy.signal
 
 from .errors import FormatError
+from .fileio import atomic_write
 
 LOG_FLOOR = 1e-5  # magnitude ratio floor inside log10: exactly -100 dB
 
@@ -442,7 +443,7 @@ def read_wav(path) -> Waveform:
 def write_wav(wave: Waveform, path) -> None:
     x = np.clip(np.asarray(wave.samples, dtype=np.float64), -1.0, 1.0)
     pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
-    with wave_mod.open(str(path), "wb") as f:
+    with atomic_write(path, "wb") as raw, wave_mod.open(raw, "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(wave.sample_rate)
@@ -463,7 +464,7 @@ def write_feature_cache(grid: np.ndarray, path) -> None:
     grid = np.ascontiguousarray(grid, dtype="<f4")
     if grid.ndim != 2:
         raise ValueError(f"feature cache expects a 2-D grid, got shape {grid.shape}")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_CACHE_MAGIC)
         f.write(struct.pack("<III", _CACHE_VERSION, grid.shape[0], grid.shape[1]))
         f.write(grid.tobytes())

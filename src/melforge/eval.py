@@ -21,6 +21,7 @@ from scipy.special import logsumexp
 from .config import ProtocolConfig
 from .corpus import EmbeddingStore, Manifest
 from .errors import ProtocolError
+from .fileio import atomic_write
 
 VAR_FLOOR = 1e-4
 
@@ -340,7 +341,7 @@ CURVE_FIELDS = ("threshold", "SR", "FRR", "FAR")
 
 
 def write_score_csv(trials: list[Trial], scores, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SCORE_FIELDS)
         for t, s in zip(trials, scores):
@@ -377,7 +378,7 @@ def read_score_csv(path) -> dict[str, float]:
 
 
 def write_curve_csv(points: list[OperatingPoint], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CURVE_FIELDS)
         for p in points:
@@ -388,7 +389,7 @@ def write_curve_csv(points: list[OperatingPoint], path) -> None:
 
 def write_trial_csv(trials: list[Trial], path) -> None:
     """Trial list without scores; external systems fill in the score column."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("trial_id", "claimed_speaker", "utterance_id", "source", "is_target"))
         for t in trials:

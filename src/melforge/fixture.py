@@ -22,6 +22,7 @@ import numpy as np
 
 from . import dsp
 from .corpus import EmbeddingStore, save_embeddings
+from .fileio import atomic_write
 
 SAMPLE_RATE = 22050
 WIN = 1024
@@ -101,7 +102,8 @@ def write_fixture_corpus(root, seed: int = 0) -> Path:
             utt_id = f"{speaker}_{i:03d}"
             wave = render_text(text, speaker)
             dsp.write_wav(wave, spk_dir / f"{utt_id}.wav")
-            (spk_dir / f"{utt_id}.txt").write_text(text, encoding="utf-8")
+            with atomic_write(spk_dir / f"{utt_id}.txt") as f:
+                f.write(text)
             jitter = 0.05 * rng.standard_normal(EMBED_DIM).astype(np.float32)
             store.add(utt_id, center + jitter)
     save_embeddings(store, root / "embeddings.mfem")

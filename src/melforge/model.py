@@ -13,6 +13,14 @@ are mostly at the floor.
 
 Parameters live in flat name->Tensor dicts so checkpoints and the optimizer
 can treat every model uniformly.
+
+Layout: activations are (B, C, T), text indices (B, N); ``attend``,
+``t2m_teacher_forced`` and ``discriminator_forward`` refuse anything else
+with a ``ValueError``.  Only ``tenc_forward``, ``asenc_forward``,
+``adec_forward`` and ``ssrn_forward`` also take one unbatched utterance
+((N,) text, (C, T) frames, (S,) speaker), run as a batch of one: frame-by-
+frame decoding in ``t2m_generate`` and the ``perfbench`` synth workload
+call them that way.
 """
 
 from __future__ import annotations
@@ -226,18 +234,22 @@ def _promote_idx(text_idx) -> tuple[np.ndarray, bool]:
     raise ValueError(f"text indices must be (N,) or (B, N), got {idx.shape}")
 
 
-def _promote(x, channels: int):
+def _batched(x, channels: int) -> Tensor:
     x = ad.as_tensor(x)
-    if x.ndim == 2:
-        x = ops.reshape(x, (1,) + x.shape)
-        squeeze = True
-    elif x.ndim == 3:
-        squeeze = False
-    else:
-        raise ValueError(f"expected 2-D or 3-D input, got shape {x.shape}")
+    if x.ndim != 3:
+        raise ValueError(f"expected (B, {channels}, T) input, got shape {x.shape}")
     if x.shape[1] != channels:
         raise ValueError(f"expected {channels} channels, got {x.shape[1]}")
-    return x, squeeze
+    return x
+
+
+def _promote(x, channels: int) -> tuple[Tensor, bool]:
+    """The single-utterance form: a (C, T) input runs as (1, C, T)."""
+    x = ad.as_tensor(x)
+    squeeze = x.ndim == 2
+    if squeeze:
+        x = ops.reshape(x, (1,) + x.shape)
+    return _batched(x, channels), squeeze
 
 
 def tenc_forward(text_idx, params, cfg: ModelConfig):
@@ -300,22 +312,18 @@ def attend(k, v, q, text_mask: np.ndarray | None = None):
     (A, context) shaped (B, N, T) and (B, d, T).
     """
     k, v, q = ad.as_tensor(k), ad.as_tensor(v), ad.as_tensor(q)
-    squeeze = k.ndim == 2
-    if squeeze:
-        k = ops.reshape(k, (1,) + k.shape)
-        v = ops.reshape(v, (1,) + v.shape)
-        q = ops.reshape(q, (1,) + q.shape)
+    if not k.ndim == v.ndim == q.ndim == 3:
+        raise ValueError(
+            f"attend takes (B, d, N) keys and values and (B, d, T) queries,"
+            f" got shapes {k.shape}, {v.shape}, {q.shape}"
+        )
     d = k.shape[1]
     scores = ops.mul(ops.matmul(ops.swapaxes(k, 1, 2), q), 1.0 / np.sqrt(d))
     if text_mask is not None:
         bias = np.where(np.asarray(text_mask)[:, :, None] > 0, 0.0, -1e9)
         scores = ops.add(scores, Tensor(bias.astype(scores.dtype)))
     a = ops.softmax(scores, axis=1)
-    context = ops.matmul(v, a)
-    if squeeze:
-        a = ops.reshape(a, a.shape[1:])
-        context = ops.reshape(context, context.shape[1:])
-    return a, context
+    return a, ops.matmul(v, a)
 
 
 def adec_forward(context_and_q, params, cfg: ModelConfig):
@@ -354,8 +362,7 @@ def t2m_teacher_forced(
     k, v = tenc_forward(text_idx, params, cfg)
     q = asenc_forward(shift_right(target_mel), spk, params, cfg)
     a, context = attend(k, v, q, text_mask)
-    cat_axis = 0 if ad.as_tensor(context).ndim == 2 else 1
-    y = adec_forward(ops.concat([context, q], axis=cat_axis), params, cfg)
+    y = adec_forward(ops.concat([context, q], axis=1), params, cfg)
     return y, a
 
 
@@ -387,21 +394,20 @@ def t2m_generate(
     n = idx.size
     spk_vec = spk.vector if isinstance(spk, SpeakerEmbedding) else np.asarray(spk)
     dt = params["adec.out.w"].data.dtype
+    spk_vec = spk_vec.astype(dt)
     with ad.no_grad():
         k, v = tenc_forward(idx, params, cfg)
         k_np, v_np = k.data, v.data  # (d, N)
         d = k_np.shape[0]
-        frames: list[np.ndarray] = []
-        contexts: list[np.ndarray] = []
-        att_cols: list[np.ndarray] = []
+        # column 0 of mel is the all-zero start frame; frame t lands in t + 1
+        mel = np.zeros((cfg.n_mels, max_frames + 1), dtype=dt)
+        ctx = np.zeros((d, max_frames))
+        att = np.zeros((n, max_frames))
         path: list[int] = []
         p_prev = 0
         low_run = 0
         for t in range(max_frames):
-            prefix = np.zeros((cfg.n_mels, t + 1), dtype=dt)
-            if frames:
-                prefix[:, 1:] = np.stack(frames, axis=1)
-            q = asenc_forward(prefix, spk_vec.astype(dt), params, cfg).data
+            q = asenc_forward(mel[:, : t + 1], spk_vec, params, cfg).data
             scores = (k_np.T @ q[:, -1]) / np.sqrt(d)  # (N,)
             window = np.full(n, -np.inf)
             lo, hi = p_prev, min(p_prev + 2, n - 1)
@@ -410,20 +416,17 @@ def t2m_generate(
             col /= col.sum()
             p_t = int(np.argmax(col))
             path.append(p_t)
-            att_cols.append(col)
-            contexts.append(v_np @ col)
-            ctx = np.stack(contexts, axis=1)  # (d, t+1)
-            dec_in = np.concatenate([ctx, q], axis=0)
-            y = adec_forward(dec_in.astype(dt), params, cfg).data
-            frame = y[:, -1]
-            frames.append(frame)
+            att[:, t] = col
+            ctx[:, t] = v_np @ col
+            dec_in = np.concatenate([ctx[:, : t + 1], q], axis=0)
+            frame = adec_forward(dec_in.astype(dt), params, cfg).data[:, -1]
+            mel[:, t + 1] = frame
             p_prev = p_t
             low_run = low_run + 1 if frame.mean() < stop_energy else 0
             if p_t >= n - 1 and low_run >= stop_run:
                 break
-    mel = np.stack(frames, axis=1)
-    att = np.stack(att_cols, axis=1)
-    return mel, att, path
+    t = len(path)
+    return mel[:, 1 : t + 1].copy(), att[:, :t].copy(), path
 
 
 def ssrn_forward(dmel, params, cfg: ModelConfig):
@@ -447,7 +450,7 @@ def ssrn_forward(dmel, params, cfg: ModelConfig):
 
 def discriminator_forward(spec, dcfg: DiscriminatorConfig, params):
     """Wasserstein critic: (B, C, T) -> (B,) unbounded scores."""
-    x, squeeze = _promote(spec, dcfg.in_channels)
+    x = _batched(spec, dcfg.in_channels)
     for layer in dcfg.layers():
         if layer == "conv_in":
             x = _conv(params, "disc.conv_in", x, activation=ops.relu)
@@ -464,10 +467,7 @@ def discriminator_forward(spec, dcfg: DiscriminatorConfig, params):
                 ops.matmul(x, params["disc.head.w"]),
                 ops.reshape(params["disc.head.b"], (1, 1)),
             )
-    score = ops.reshape(x, (x.shape[0],))
-    if squeeze:
-        score = ops.reshape(score, ())
-    return score
+    return ops.reshape(x, (x.shape[0],))
 
 
 def _mean_pool2(x):

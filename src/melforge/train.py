@@ -18,12 +18,10 @@ a resumed run continues bit for bit as the uninterrupted run would.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +32,7 @@ from .config import RunConfig, feature_hash
 from .corpus import EmbeddingStore, Manifest
 from .dsp import read_feature_cache
 from .errors import CompatibilityError, FormatError, TrainingAborted
+from .fileio import atomic_write
 from .model import DiscriminatorConfig
 from .textproc import CharVocab, encode
 
@@ -43,6 +42,8 @@ CKPT_VERSION = 2
 _REQUIRED_META = (
     "model_id", "iteration", "vocab", "feature_hash", "rng_state", "batch_queue"
 )
+# train settings a resumed run may change: they do not touch the numbers
+_RESUME_FREE = ("max_iters", "checkpoint_every", "log_every")
 
 
 @dataclass
@@ -104,9 +105,7 @@ def _read_tensor_table(f, path) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write through a temporary file in the target directory and rename it
-    into place, so a crash leaves the old file or the new one, never a part."""
-    path = Path(path)
+    """Crash-safe: written through ``fileio.atomic_write``."""
     meta = {
         "model_id": ckpt.model_id,
         "iteration": ckpt.iteration,
@@ -119,26 +118,20 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "batch_queue": ckpt.batch_queue,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CKPT_MAGIC)
-            f.write(struct.pack("<I", CKPT_VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            for table in (
-                ckpt.params,
-                ckpt.disc_params,
-                ckpt.opt.get("m", {}),
-                ckpt.opt.get("v", {}),
-                ckpt.disc_opt.get("m", {}),
-                ckpt.disc_opt.get("v", {}),
-            ):
-                _write_tensor_table(f, table)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(CKPT_MAGIC)
+        f.write(struct.pack("<I", CKPT_VERSION))
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        for table in (
+            ckpt.params,
+            ckpt.disc_params,
+            ckpt.opt.get("m", {}),
+            ckpt.opt.get("v", {}),
+            ckpt.disc_opt.get("m", {}),
+            ckpt.disc_opt.get("v", {}),
+        ):
+            _write_tensor_table(f, table)
 
 
 def load_checkpoint(path, expect_hash: str | None = None, force: bool = False) -> Checkpoint:
@@ -512,6 +505,16 @@ def train_stage(
         if resume.model_id != model_id:
             raise CompatibilityError(
                 f"checkpoint is for {resume.model_id!r}, not {model_id!r}"
+            )
+        saved, now = resume.config.get("train") or {}, run_cfg.to_dict()["train"]
+        changed = [
+            f"{k} {saved.get(k)!r} -> {now.get(k)!r}"
+            for k in sorted(saved.keys() | now.keys())
+            if k not in _RESUME_FREE and saved.get(k) != now.get(k)
+        ]
+        if changed:
+            raise CompatibilityError(
+                "checkpoint was trained under another train recipe: " + ", ".join(changed)
             )
         _restore(gen_params, resume.params)
         _restore(disc_params, resume.disc_params)

@@ -48,3 +48,39 @@ def tiny_model_config():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def crash_writing(monkeypatch):
+    """``crash_writing(name)``: from then on, every write into a file called
+    ``name`` through ``fileio.atomic_write`` stores a few bytes and then
+    fails with ``OSError("disk full")``."""
+    from melforge import fileio
+
+    real_open = open
+
+    class Crashing:
+        def __init__(self, f):
+            self._f = f
+
+        def write(self, data):
+            self._f.write(data[:4])
+            raise OSError("disk full")
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+    def arm(name):
+        def fake_open(file, *args, **kwargs):
+            f = real_open(file, *args, **kwargs)
+            return Crashing(f) if Path(file).name.startswith(name + ".") else f
+
+        monkeypatch.setattr(fileio, "open", fake_open, raising=False)
+
+    return arm

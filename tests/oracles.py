@@ -1,10 +1,14 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive (nested loops, O(n^2) transforms,
-exhaustive sweeps) and shares no code with the package internals.
+exhaustive sweeps, full-prefix recomputation) and shares no code with the
+package internals; ``prefix_decode`` calls only the public model layers.
 """
 
 import numpy as np
+
+from melforge import autodiff as ad
+from melforge import model
 
 
 def naive_dft(frame: np.ndarray) -> np.ndarray:
@@ -154,3 +158,45 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
     b = np.asarray(b)
     scale = max(float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)), floor)
     return float(np.abs(a - b).max(initial=0.0) / scale)
+
+
+def prefix_decode(text_idx, spk, params, cfg, max_frames=200, stop_energy=0.02, stop_run=10):
+    """Constrained decoding that re-runs the audio encoder and decoder over
+    the whole prefix at every frame, restacking the emitted frames, contexts
+    and attention columns from Python lists.  Same contract and outputs as
+    ``model.t2m_generate``: (mel (M, T), attention (N, T), path)."""
+    idx = np.asarray(text_idx)
+    n = idx.size
+    spk_vec = spk.vector if isinstance(spk, model.SpeakerEmbedding) else np.asarray(spk)
+    dt = params["adec.out.w"].data.dtype
+    with ad.no_grad():
+        k, v = model.tenc_forward(idx, params, cfg)
+        k_np, v_np = k.data, v.data
+        d = k_np.shape[0]
+        frames, contexts, att_cols, path = [], [], [], []
+        p_prev = 0
+        low_run = 0
+        for t in range(max_frames):
+            prefix = np.zeros((cfg.n_mels, t + 1), dtype=dt)
+            if frames:
+                prefix[:, 1:] = np.stack(frames, axis=1)
+            q = model.asenc_forward(prefix, spk_vec.astype(dt), params, cfg).data
+            scores = (k_np.T @ q[:, -1]) / np.sqrt(d)
+            window = np.full(n, -np.inf)
+            lo, hi = p_prev, min(p_prev + 2, n - 1)
+            window[lo : hi + 1] = scores[lo : hi + 1]
+            col = np.exp(window - window[lo : hi + 1].max())
+            col /= col.sum()
+            p_t = int(np.argmax(col))
+            path.append(p_t)
+            att_cols.append(col)
+            contexts.append(v_np @ col)
+            ctx = np.stack(contexts, axis=1)
+            dec_in = np.concatenate([ctx, q], axis=0)
+            frame = model.adec_forward(dec_in.astype(dt), params, cfg).data[:, -1]
+            frames.append(frame)
+            p_prev = p_t
+            low_run = low_run + 1 if frame.mean() < stop_energy else 0
+            if p_t >= n - 1 and low_run >= stop_run:
+                break
+    return np.stack(frames, axis=1), np.stack(att_cols, axis=1), path

@@ -93,7 +93,7 @@ def test_acceptance_gradient_suite():
     def model_loss(which, params, dtype):
         if which == "t2m":
             y, att = model.t2m_teacher_forced(
-                text, tgt.astype(dtype), spk.astype(dtype), params, cfg
+                text[None], tgt[None].astype(dtype), spk[None].astype(dtype), params, cfg
             )
             return ad.add(ad.tsum(ops.mul(y, y)), ad.tsum(ops.mul(att, att)))
         y = model.ssrn_forward(dmel_in.astype(dtype), params, cfg)

@@ -81,28 +81,28 @@ def test_grad_accumulates_over_reuse():
 def test_conv1d_matches_naive(dilation, causal, rng):
     x = rng.standard_normal((3, 12)).astype(np.float32)
     w = rng.standard_normal((5, 3, 3)).astype(np.float32)
-    y = nn.conv1d(Tensor(x), Tensor(w), dilation=dilation, causal=causal)
+    y = nn.conv1d(Tensor(x[None]), Tensor(w), dilation=dilation, causal=causal)
     total = (w.shape[2] - 1) * dilation
     left = total if causal else total // 2
     ref = naive_conv1d(x, w, dilation, left, total - left)
-    assert max_rel_err(y.data, ref) <= 1e-5
-    assert y.shape == (5, 12)
+    assert max_rel_err(y.data[0], ref) <= 1e-5
+    assert y.shape == (1, 5, 12)
 
 
 def test_conv1d_identity_kernel(rng):
     x = rng.standard_normal((4, 9)).astype(np.float32)
     w = np.eye(4, dtype=np.float32)[:, :, None]
-    y = nn.conv1d(Tensor(x), Tensor(w))
-    np.testing.assert_allclose(y.data, x, rtol=1e-6)
+    y = nn.conv1d(Tensor(x[None]), Tensor(w))
+    np.testing.assert_allclose(y.data[0], x, rtol=1e-6)
 
 
 def test_conv1d_causality(rng):
     x = rng.standard_normal((3, 16)).astype(np.float32)
     w = rng.standard_normal((3, 3, 3)).astype(np.float32)
-    y = nn.conv1d(Tensor(x), Tensor(w), dilation=2, causal=True).data
+    y = nn.conv1d(Tensor(x[None]), Tensor(w), dilation=2, causal=True).data[0]
     x2 = x.copy()
     x2[:, 9:] += rng.standard_normal((3, 7)).astype(np.float32)
-    y2 = nn.conv1d(Tensor(x2), Tensor(w), dilation=2, causal=True).data
+    y2 = nn.conv1d(Tensor(x2[None]), Tensor(w), dilation=2, causal=True).data[0]
     np.testing.assert_array_equal(y[:, :9], y2[:, :9])
 
 
@@ -122,9 +122,9 @@ def test_conv1d_gradients(dtype, eps, tol, rng):
 def test_conv_transposed_shape_and_zero(rng):
     x = rng.standard_normal((2, 3)).astype(np.float32)
     w = rng.standard_normal((2, 4, 3)).astype(np.float32)
-    y = nn.conv1d_transposed(Tensor(x), Tensor(w), stride=2)
-    assert y.shape == (4, 6)
-    z = nn.conv1d_transposed(Tensor(np.zeros((2, 5), dtype=np.float32)), Tensor(w), stride=2)
+    y = nn.conv1d_transposed(Tensor(x[None]), Tensor(w), stride=2)
+    assert y.shape == (1, 4, 6)
+    z = nn.conv1d_transposed(Tensor(np.zeros((1, 2, 5), dtype=np.float32)), Tensor(w), stride=2)
     np.testing.assert_array_equal(z.data, 0)
 
 
@@ -138,8 +138,8 @@ def test_conv_transposed_adjointness(stride, k, rng):
     y = rng.standard_normal((co, t))
     fwd = naive_strided_conv1d(x, w, stride)
     lhs = float((fwd * y).sum())
-    back = nn.conv1d_transposed(Tensor(y.astype(np.float64)), Tensor(w.astype(np.float64)), stride=stride)
-    rhs = float((x * back.data).sum())
+    back = nn.conv1d_transposed(Tensor(y[None].astype(np.float64)), Tensor(w.astype(np.float64)), stride=stride)
+    rhs = float((x * back.data[0]).sum())
     assert abs(lhs - rhs) <= 1e-5 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -162,12 +162,12 @@ def test_highway_gate_limits(rng):
     w = rng.standard_normal((2 * c, c, 3)).astype(np.float32) * 0.1
     b = np.zeros(2 * c, dtype=np.float32)
     b[:c] = -1e9  # gate sigmoid -> 0: pass-through
-    y = nn.highway_block(Tensor(x), Tensor(w), Tensor(b))
-    np.testing.assert_allclose(y.data, x, atol=1e-6)
+    y = nn.highway_block(Tensor(x[None]), Tensor(w), Tensor(b))
+    np.testing.assert_allclose(y.data[0], x, atol=1e-6)
     b[:c] = 1e9  # gate sigmoid -> 1: output = candidate conv
-    y = nn.highway_block(Tensor(x), Tensor(w), Tensor(b))
-    h = nn.conv1d(Tensor(x), Tensor(w), Tensor(b))
-    np.testing.assert_allclose(y.data, h.data[c:], atol=1e-5)
+    y = nn.highway_block(Tensor(x[None]), Tensor(w), Tensor(b))
+    h = nn.conv1d(Tensor(x[None]), Tensor(w), Tensor(b))
+    np.testing.assert_allclose(y.data[0], h.data[0, c:], atol=1e-5)
 
 
 @pytest.mark.parametrize("dtype,eps,tol", [(np.float64, 1e-6, 1e-5), (np.float32, 1e-2, 1e-3)])
@@ -188,9 +188,9 @@ def test_layer_norm_definition(rng):
     x = rng.standard_normal((5, 7)).astype(np.float32)
     g = np.ones(5, dtype=np.float32)
     b = rng.standard_normal(5).astype(np.float32)
-    y = nn.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
+    y = nn.layer_norm(Tensor(x[None]), Tensor(g), Tensor(b)).data[0]
     np.testing.assert_allclose(y.mean(axis=0), b.mean(), atol=1e-5)
-    const = np.full((5, 3), 2.5, dtype=np.float32)
+    const = np.full((1, 5, 3), 2.5, dtype=np.float32)
     y0 = nn.layer_norm(Tensor(const), Tensor(g), Tensor(np.zeros(5, dtype=np.float32))).data
     np.testing.assert_allclose(y0, 0.0, atol=1e-3)
 

@@ -91,6 +91,35 @@ def trained_dir(prepared_dir, toy_corpus, tmp_path_factory, tiny_cfg_file):
     return out
 
 
+def test_train_resume_refuses_changed_seed_exit_4(
+    trained_dir, prepared_dir, toy_corpus, tmp_path
+):
+    common = [
+        "train", "t2m",
+        "--manifest", prepared_dir / "train.jsonl",
+        "--embeddings", toy_corpus / "embeddings.mfem",
+        "--out", tmp_path, "--config", trained_dir / "cfg.json",
+        "--resume", trained_dir / "t2m_latest.mfck",
+    ]
+    assert run_cli(*common, "--seed", "9") == 4
+    assert not list(tmp_path.glob("*.mfck"))
+    # the same recipe with more steps resumes
+    assert run_cli(*common, "--steps", "4") == 0
+    assert (tmp_path / "t2m_0000004.mfck").exists()
+
+
+def test_train_bad_embedding_key_exit_2(prepared_dir, toy_corpus, tmp_path):
+    data = (toy_corpus / "embeddings.mfem").read_bytes()
+    bad = tmp_path / "bad.mfem"
+    bad.write_bytes(data[:14] + b"\xff" + data[15:])  # first byte of the first key
+    code = run_cli(
+        "train", "t2m",
+        "--manifest", prepared_dir / "train.jsonl",
+        "--embeddings", bad, "--out", tmp_path / "out",
+    )
+    assert code == 2
+
+
 @pytest.mark.parametrize("section,factor", [("model", 2), ("model", 8), ("dsp", 8)])
 def test_train_refuses_downsample_ssrn_cannot_restore(
     prepared_dir, toy_corpus, tiny_cfg_file, tmp_path, section, factor
@@ -185,6 +214,27 @@ def test_eval_sv_builtin_and_ingested_match(prepared_dir, toy_corpus, tmp_path, 
     assert report1["threshold"] == report2["threshold"]
     assert report1["spoof_rate"] == report2["spoof_rate"]
     assert curve1 == (ingested / "curve.csv").read_text()
+
+
+def test_eval_sv_crash_keeps_old_report(
+    prepared_dir, toy_corpus, tmp_path, tiny_cfg_file, crash_writing
+):
+    pdir = tmp_path / "proto"
+    args = [
+        "eval-sv", "--protocol-dir", pdir,
+        "--test-manifest", prepared_dir / "test.jsonl",
+        "--synth-manifest", prepared_dir / "test.jsonl",
+        "--config", tiny_cfg_file,
+        "--embeddings", toy_corpus / "embeddings.mfem",
+    ]
+    assert run_cli(*args) == 0
+    before = (pdir / "report.json").read_bytes()
+    files = sorted(p.name for p in pdir.iterdir())
+    crash_writing("report.json")
+    with pytest.raises(OSError, match="disk full"):
+        run_cli(*args)
+    assert (pdir / "report.json").read_bytes() == before
+    assert sorted(p.name for p in pdir.iterdir()) == files
 
 
 def test_eval_sv_missing_scores_exit_5(prepared_dir, tmp_path, tiny_cfg_file, toy_corpus):

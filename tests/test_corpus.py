@@ -161,6 +161,31 @@ def test_embedding_store_dim_mismatch_and_truncation(tmp_path, rng):
         corpus.load_embeddings(tmp_path / "cut.mfem")
 
 
+def test_embedding_store_bad_keys(tmp_path, rng):
+    """A key that is not UTF-8, a file cut inside a key, or a vector that
+    cannot be normalized is a FormatError naming the entry."""
+    store = EmbeddingStore(4)
+    store.add("spk0", rng.standard_normal(4))
+    store.add("spk1", rng.standard_normal(4))
+    p = tmp_path / "e.mfem"
+    corpus.save_embeddings(store, p)
+    data = p.read_bytes()
+    entry = 2 + 4 + 4 * 4  # key length, key, vector
+    second_key = 12 + entry + 2
+    bad = tmp_path / "bad.mfem"
+    bad.write_bytes(data[:second_key] + b"\xff" + data[second_key + 1 :])
+    with pytest.raises(FormatError, match="entry 1 is not UTF-8"):
+        corpus.load_embeddings(bad)
+    cut = tmp_path / "cut.mfem"
+    cut.write_bytes(data[: 12 + 2 + 2])
+    with pytest.raises(FormatError, match="truncated key at entry 0"):
+        corpus.load_embeddings(cut)
+    zero = tmp_path / "zero.mfem"
+    zero.write_bytes(data[: 12 + entry + 2 + 4] + bytes(16))
+    with pytest.raises(FormatError, match="entry 1 \\('spk1'\\)"):
+        corpus.load_embeddings(zero)
+
+
 def test_fixture_determinism(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

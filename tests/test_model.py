@@ -8,7 +8,7 @@ import melforge.autodiff as ad
 from melforge import model
 from melforge.autodiff import Tensor, ops
 from melforge.model import DiscriminatorConfig
-from oracles import central_difference_grad, max_rel_err
+from oracles import central_difference_grad, max_rel_err, prefix_decode
 
 
 def _t2m(cfg, rng):
@@ -56,14 +56,15 @@ def test_attend_properties(rng):
     k = rng.standard_normal((d, n)).astype(np.float32)
     q = rng.standard_normal((d, t)).astype(np.float32)
     v = rng.standard_normal((d, n)).astype(np.float32)
-    a, ctx = model.attend(Tensor(k), Tensor(v), Tensor(q))
-    np.testing.assert_allclose(a.data.sum(axis=0), 1.0, atol=1e-5)
-    assert np.all(a.data >= 0) and np.all(a.data <= 1)
-    assert max_rel_err(ctx.data, v @ a.data) <= 1e-6
+    a, ctx = model.attend(Tensor(k[None]), Tensor(v[None]), Tensor(q[None]))
+    a, ctx = a.data[0], ctx.data[0]
+    np.testing.assert_allclose(a.sum(axis=0), 1.0, atol=1e-5)
+    assert np.all(a >= 0) and np.all(a <= 1)
+    assert max_rel_err(ctx, v @ a) <= 1e-6
     # matching K/Q columns concentrate attention on the matching index
     eye = np.eye(d, n).astype(np.float32) * 8
-    a2, _ = model.attend(Tensor(eye), Tensor(v), Tensor(eye[:, :n]))
-    assert np.argmax(a2.data[:, 2]) == 2
+    a2, _ = model.attend(Tensor(eye[None]), Tensor(v[None]), Tensor(eye[None, :, :n]))
+    assert np.argmax(a2.data[0, :, 2]) == 2
 
 
 def test_adec_output_range_and_causality(tiny_model_config, rng):
@@ -84,15 +85,15 @@ def test_teacher_forced_shift_independence(tiny_model_config, rng):
     p = _t2m(cfg, rng)
     spk = _spk(cfg, rng)
     text = np.array([1, 4, 2, 7])
-    tgt = rng.random((cfg.n_mels, 6)).astype(np.float32)
-    y, a = model.t2m_teacher_forced(text, tgt, spk, p, cfg)
+    tgt = rng.random((1, cfg.n_mels, 6)).astype(np.float32)
+    y, a = model.t2m_teacher_forced(text[None], tgt, spk[None], p, cfg)
     assert y.shape == tgt.shape
-    assert a.shape == (4, 6)
+    assert a.shape == (1, 4, 6)
     # prediction at frame t is independent of target frames >= t
     tgt2 = tgt.copy()
-    tgt2[:, 3:] = rng.random((cfg.n_mels, 3))
-    y2, _ = model.t2m_teacher_forced(text, tgt2, spk, p, cfg)
-    np.testing.assert_allclose(y.data[:, :4], y2.data[:, :4], atol=1e-6)
+    tgt2[0, :, 3:] = rng.random((cfg.n_mels, 3))
+    y2, _ = model.t2m_teacher_forced(text[None], tgt2, spk[None], p, cfg)
+    np.testing.assert_allclose(y.data[..., :4], y2.data[..., :4], atol=1e-6)
 
 
 def test_generate_path_constraints(tiny_model_config, rng):
@@ -123,6 +124,91 @@ def test_generate_windows_border_jump(tiny_model_config, rng):
     k.data[:, 5] = 10.0
     mel, att, path = model.t2m_generate(text, _spk(cfg, rng), p, cfg, max_frames=4)
     assert path[0] <= 2
+
+
+@pytest.mark.parametrize(
+    "case,max_frames,stop_energy,dtype",
+    [("frame_cap", 40, 0.0, np.float32), ("early_stop", 200, 1.0, np.float32),
+     ("float64", 30, 0.0, np.float64)],
+)
+def test_generate_matches_prefix_decode_oracle(case, max_frames, stop_energy, dtype, rng):
+    """The preallocated-buffer decoder emits exactly what re-running the
+    encoder and decoder over the whole restacked prefix emits."""
+    cfg = model.ModelConfig()
+    with ad.using_dtype(dtype):
+        p = model.init_t2m_params(cfg, np.random.default_rng(5))
+    text = rng.integers(1, cfg.vocab_size, 3 if case == "early_stop" else 20)
+    spk = _spk(cfg, rng)
+    kw = dict(max_frames=max_frames, stop_energy=stop_energy)
+    mel, att, path = model.t2m_generate(text, spk, p, cfg, **kw)
+    mel_o, att_o, path_o = prefix_decode(text, spk, p, cfg, **kw)
+    assert path == path_o
+    assert mel.dtype == mel_o.dtype == dtype and att.dtype == att_o.dtype
+    np.testing.assert_array_equal(mel, mel_o)
+    np.testing.assert_array_equal(att, att_o)
+    if case == "early_stop":
+        assert len(path) < max_frames
+    else:
+        assert len(path) == max_frames
+
+
+def _two_d_calls(cfg, rng):
+    """Each batched-only function, called with its first input unbatched."""
+    d, n, t = cfg.attention_dim, 5, 6
+    w = rng.standard_normal((4, 4, 3)).astype(np.float32)
+    x = rng.standard_normal((4, t)).astype(np.float32)
+    kv = rng.standard_normal((d, n)).astype(np.float32)
+    q = rng.standard_normal((d, t)).astype(np.float32)
+    dc = DiscriminatorConfig(in_channels=cfg.n_mels, channels=8)
+    return {
+        "conv1d": lambda: ad.conv1d(x, w),
+        "conv1d_transposed": lambda: ad.conv1d_transposed(x, w, stride=2),
+        "highway_block": lambda: ad.highway_block(x, np.concatenate([w, w]), np.zeros(8)),
+        "layer_norm": lambda: ad.layer_norm(x, np.ones(4), np.zeros(4)),
+        "attend": lambda: model.attend(kv, kv, q),
+        "t2m_teacher_forced": lambda: model.t2m_teacher_forced(
+            np.array([1, 2, 3]), rng.random((cfg.n_mels, t)), _spk(cfg, rng),
+            _t2m(cfg, rng), cfg,
+        ),
+        "discriminator_forward": lambda: model.discriminator_forward(
+            rng.random((cfg.n_mels, t)), dc, model.init_discriminator_params(dc, rng)
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["conv1d", "conv1d_transposed", "highway_block", "layer_norm", "attend",
+     "t2m_teacher_forced", "discriminator_forward"],
+)
+def test_batched_only_functions_refuse_2d(name, tiny_model_config, rng):
+    with pytest.raises(ValueError, match=r"\(B, "):
+        _two_d_calls(tiny_model_config, rng)[name]()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_single_utterance_form_equals_batch_of_one(dtype, tiny_model_config, rng):
+    """tenc/asenc/adec/ssrn on one unbatched utterance give [0] of the same
+    call on a batch of one, bit for bit."""
+    cfg = tiny_model_config
+    with ad.using_dtype(dtype):
+        p = {**_t2m(cfg, rng), **model.init_ssrn_params(cfg, rng)}
+    text = np.array([3, 1, 4, 1, 5])
+    mel = rng.random((cfg.n_mels, 7)).astype(dtype)
+    spk = _spk(cfg, rng).astype(dtype)
+    ctx_q = rng.standard_normal((2 * cfg.attention_dim, 7)).astype(dtype)
+    pairs = [
+        (model.tenc_forward(text, p, cfg), model.tenc_forward(text[None], p, cfg)),
+        (model.asenc_forward(mel, spk, p, cfg), model.asenc_forward(mel[None], spk[None], p, cfg)),
+        (model.adec_forward(ctx_q, p, cfg), model.adec_forward(ctx_q[None], p, cfg)),
+        (model.ssrn_forward(mel, p, cfg), model.ssrn_forward(mel[None], p, cfg)),
+    ]
+    for one, batch in pairs:
+        one = one if isinstance(one, tuple) else (one,)
+        batch = batch if isinstance(batch, tuple) else (batch,)
+        for a, b in zip(one, batch):
+            assert b.shape == (1,) + a.shape and a.dtype == b.dtype == dtype
+            np.testing.assert_array_equal(a.data, b.data[0])
 
 
 def test_ssrn_shapes_and_range(tiny_model_config, rng):
@@ -189,7 +275,7 @@ def test_t2m_gradient_check_tiny(tiny_model_config, rng):
         spk /= np.linalg.norm(spk)
 
         def loss_value():
-            y, a = model.t2m_teacher_forced(text, tgt, spk, params, cfg)
+            y, a = model.t2m_teacher_forced(text[None], tgt[None], spk[None], params, cfg)
             return ad.tsum(ops.mul(y, y))
 
         loss = loss_value()

@@ -217,6 +217,23 @@ def test_resume_continues_iteration(toy_samples, tmp_path):
         list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=3), resume=bad_queue))
 
 
+def test_resume_refuses_changed_train_recipe(toy_samples):
+    """A checkpoint resumes only under the train settings it was made with;
+    max_iters, checkpoint_every and log_every may change."""
+    samples, fcfg = toy_samples
+    half = list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=2)))[-1]
+    cfg = _tiny_run_cfg(fcfg, steps=4)
+    other = replace(cfg, train=replace(cfg.train, batch_size=2, seed=9))
+    with pytest.raises(CompatibilityError, match="batch_size 4 -> 2, seed 3 -> 9"):
+        list(train.train_t2m(samples, other, resume=half))
+    for change in ({"n_critic": 4}, {"disc_variant": "v2"}, {"alpha": 1e-4}):
+        changed = replace(cfg, train=replace(cfg.train, **change))
+        with pytest.raises(CompatibilityError, match=next(iter(change))):
+            list(train.train_t2m(samples, changed, resume=half))
+    free = replace(cfg, train=replace(cfg.train, checkpoint_every=1, log_every=7))
+    assert [ck.iteration for ck in train.train_t2m(samples, free, resume=half)] == [3, 4]
+
+
 def test_yielded_moments_do_not_move_with_training(toy_samples):
     samples, fcfg = toy_samples
     cfg = _tiny_run_cfg(fcfg, steps=2)
