@@ -434,6 +434,28 @@ def _take_every_vjp(node, g):
     return (pad_time(ig, 0, length - ig.shape[-1]),)
 
 
+def pair_sum(a) -> Tensor:
+    """Sums of adjacent sample pairs along an even-length last axis:
+    (..., 2T) -> (..., T).  Two strided views added, where a reduction over
+    a trailing axis of length 2 runs an order of magnitude slower."""
+    a = as_tensor(a)
+    return make_op_output(a.data[..., 0::2] + a.data[..., 1::2], "pair_sum", (a,))
+
+
+def _pair_sum_vjp(node, g):
+    return (repeat_pairs(g),)
+
+
+def repeat_pairs(a) -> Tensor:
+    """Each sample twice along the last axis (adjoint of pair_sum)."""
+    a = as_tensor(a)
+    return make_op_output(np.repeat(a.data, 2, axis=-1), "repeat_pairs", (a,))
+
+
+def _repeat_pairs_vjp(node, g):
+    return (pair_sum(g),)
+
+
 # ---------------------------------------------------------------------------
 # convolution family
 # ---------------------------------------------------------------------------
@@ -524,6 +546,8 @@ for _name, _fn, _vjp in [
     ("scatter_rows", scatter_rows, _scatter_rows_vjp),
     ("interleave_zeros", interleave_zeros, _interleave_vjp),
     ("take_every", take_every, _take_every_vjp),
+    ("pair_sum", pair_sum, _pair_sum_vjp),
+    ("repeat_pairs", repeat_pairs, _repeat_pairs_vjp),
     ("kernel_adjoint", kernel_adjoint, _kernel_adjoint_vjp),
     ("conv_valid", conv_valid, _conv_valid_vjp),
     ("conv_weight_grad", conv_weight_grad, _conv_weight_grad_vjp),

@@ -371,7 +371,7 @@ def cmd_eval_antispoof(args) -> int:
             (synth_files, synth_scores, "synthetic"),
         ):
             for p, s in zip(files, scores):
-                f.write(f"{p},{src},{s:.10g}\n")
+                f.write(f"{p},{src},{float(s)!r}\n")
     report = {
         "backend": args.backend,
         "eer": eer,

@@ -13,6 +13,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dsp import FeatureConfig
+from .errors import CompatibilityError, CorpusError, FormatError
 from .model import ModelConfig
 
 
@@ -53,13 +54,33 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        """Missing or empty sections take their defaults; an unknown key
-        inside a section raises TypeError."""
-        # each section's default_factory is its config class
-        return cls(
-            **{f.name: f.default_factory(**(d.get(f.name) or {})) for f in fields(cls)}
-        )
+    def from_dict(cls, d) -> "RunConfig":
+        """Missing or null sections take their defaults.
+
+        Raises FormatError when ``d`` or a section is not a JSON object, and
+        CompatibilityError naming an unknown section or key (say, one
+        written by a newer version).
+        """
+        if not isinstance(d, dict):
+            raise FormatError(f"config must be a JSON object, got {type(d).__name__}")
+        sections = {f.name: f.default_factory for f in fields(cls)}  # name -> config class
+        unknown = sorted(d.keys() - sections.keys())
+        if unknown:
+            raise CompatibilityError(f"unknown config section {unknown[0]!r}")
+        built = {}
+        for name, section_cls in sections.items():
+            values = d.get(name)
+            if values is None:
+                values = {}
+            if not isinstance(values, dict):
+                raise FormatError(
+                    f"config section {name!r} must be a JSON object, got {type(values).__name__}"
+                )
+            unknown = sorted(values.keys() - {f.name for f in fields(section_cls)})
+            if unknown:
+                raise CompatibilityError(f"unknown key {unknown[0]!r} in config section {name!r}")
+            built[name] = section_cls(**values)
+        return cls(**built)
 
 
 def feature_hash(cfg: FeatureConfig) -> str:
@@ -69,17 +90,24 @@ def feature_hash(cfg: FeatureConfig) -> str:
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Precedence: overrides (flags) > config file > built-in defaults."""
+    """Precedence: overrides (flags) > config file > built-in defaults.
+
+    A config file that cannot be read raises CorpusError, one that is not
+    JSON raises FormatError; `RunConfig.from_dict` checks its shape.
+    """
     data: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    if overrides:
-        for section, values in overrides.items():
-            data.setdefault(section, {}).update(
-                {k: v for k, v in values.items() if v is not None}
-            )
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                data = json.load(f)
+        except OSError as e:
+            raise CorpusError(f"cannot read config file {path}: {e}") from e
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"{path}: config file is not JSON ({e})") from e
     cfg = RunConfig.from_dict(data)
+    for section, values in (overrides or {}).items():
+        given = {k: v for k, v in values.items() if v is not None}
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **given)})
     env_seed = os.environ.get("MELFORGE_SEED")
     if env_seed is not None:
         seed = int(env_seed)

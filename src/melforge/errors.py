@@ -15,7 +15,7 @@ class CorpusError(MelforgeError):
 
 
 class FormatError(MelforgeError):
-    """A binary file (cache, checkpoint, embedding store, WAV) is malformed."""
+    """A file (cache, checkpoint, embedding store, WAV, config) is malformed."""
 
 
 class CompatibilityError(MelforgeError):

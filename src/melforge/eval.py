@@ -16,7 +16,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .config import ProtocolConfig
 from .corpus import EmbeddingStore, Manifest
@@ -117,10 +116,22 @@ def enroll(embeddings: list[np.ndarray]) -> np.ndarray:
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two vectors, in float64."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         raise ValueError("zero-norm embedding in scoring")
     return float(np.dot(a, b) / (na * nb))
+
+
+def _unit_rows(vectors: list[np.ndarray]) -> np.ndarray:
+    """(N, D) float64 stack of the vectors, each scaled to unit norm."""
+    m = np.array(vectors, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError("zero-norm embedding in scoring")
+    return m / norms
 
 
 def score_trials(
@@ -129,19 +140,31 @@ def score_trials(
     store: EmbeddingStore,
 ) -> np.ndarray:
     """Cosine similarity of each trial utterance against the claimed
-    speaker's enrollment model."""
+    speaker's enrollment model.
+
+    One product, in float64: the unit-normalised embeddings of the distinct
+    trial utterances times the unit-normalised models of the distinct
+    claimed speakers, read out at each trial's (utterance, speaker) pair.
+    The protocol claims each real trial utterance as every test speaker, so
+    that product holds about as many entries as there are trials.  Equals
+    `cosine_score` per trial to rounding.
+    """
     missing = [t.trial_id for t in trials if t.utterance_id not in store]
     if missing:
         raise ProtocolError(f"missing embeddings for trials: {', '.join(missing[:10])}"
                             + ("..." if len(missing) > 10 else ""))
-    return np.array(
-        [
-            cosine_score(
-                enrollment_models[t.claimed_speaker], store[t.utterance_id].vector
-            )
-            for t in trials
-        ]
-    )
+    if not trials:
+        return np.empty(0)
+    unenrolled = sorted({t.claimed_speaker for t in trials} - set(enrollment_models))
+    if unenrolled:
+        raise ProtocolError(f"no enrollment model for claimed speakers: {unenrolled[:10]}")
+    speaker_row: dict[str, int] = {}
+    utterance_row: dict[str, int] = {}
+    spk_idx = [speaker_row.setdefault(t.claimed_speaker, len(speaker_row)) for t in trials]
+    utt_idx = [utterance_row.setdefault(t.utterance_id, len(utterance_row)) for t in trials]
+    models = _unit_rows([enrollment_models[s] for s in speaker_row])
+    embeddings = _unit_rows([store[u].vector for u in utterance_row])
+    return (embeddings @ models.T)[utt_idx, spk_idx]
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +270,45 @@ def sr_frr_curve(
 
 @dataclass
 class DiagonalGmm:
+    """Diagonal-covariance Gaussian mixture, all fields float64."""
+
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, D)
     variances: np.ndarray  # (K, D), floored
 
     def component_log_likelihood(self, x: np.ndarray) -> np.ndarray:
-        """(N, K) log p(x | component) + log weight."""
+        """(N, K) log p(x | component) + log weight.
+
+        The Mahalanobis term sum_d (x_d - mu_kd)^2 / var_kd is expanded into
+        matrix products, ``(x*x) @ P.T - 2 x @ (mu*P).T + sum(mu*mu*P)`` with
+        ``P = 1/var``, so no (N, K, D) array is built.  Data and means are
+        first centred on the mean of the means: the expansion subtracts
+        terms of size x^2/var, and without centring features far from the
+        origin lose their digits to that cancellation.
+        """
         x = np.atleast_2d(x)
-        diff = x[:, None, :] - self.means[None, :, :]
-        quad = np.sum(diff * diff / self.variances[None], axis=2)
+        centre = self.means.mean(axis=0)
+        xc = x - centre
+        mc = self.means - centre
+        prec = 1.0 / self.variances
+        quad = (xc * xc) @ prec.T - 2.0 * (xc @ (mc * prec).T) + np.sum(mc * mc * prec, axis=1)
         logdet = np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
         return -0.5 * (quad + logdet[None, :]) + np.log(self.weights)[None, :]
 
     def log_likelihood(self, x: np.ndarray) -> np.ndarray:
         """(N,) per-point log likelihood."""
-        return logsumexp(self.component_log_likelihood(x), axis=1)
+        return _posteriors(self.component_log_likelihood(x))[0]
+
+
+def _posteriors(comp_ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) log-sum-exp over components and the (N, K) responsibilities,
+    from one exponential of the (N, K) log-likelihoods shifted by their
+    per-row peak."""
+    peak = comp_ll.max(axis=1, keepdims=True)
+    resp = np.exp(comp_ll - peak)
+    mass = resp.sum(axis=1, keepdims=True)
+    resp /= mass
+    return (peak + np.log(mass))[:, 0], resp
 
 
 def gmm_fit_em(
@@ -272,9 +319,14 @@ def gmm_fit_em(
 ) -> tuple[DiagonalGmm, list[float]]:
     """Diagonal-covariance EM with seeded point-pick initialization.
 
-    Returns the model and the per-iteration total log-likelihood history
-    (non-decreasing within numerical tolerance).  Components that lose all
+    Returns the model and the total log-likelihood before each of the
+    ``max(iters, 1)`` iterations and after the last one (non-decreasing
+    within numerical tolerance).  Each E-step takes the centred
+    matrix-product log-likelihoods of `DiagonalGmm.component_log_likelihood`
+    and one exponential, shifted by each point's peak, for both the
+    log-sum-exp and the responsibilities.  Components that lose all
     responsibility mass are re-seeded at the globally worst-fit point.
+    Everything is float64.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -294,10 +346,8 @@ def gmm_fit_em(
     )
     history: list[float] = []
     for _ in range(max(iters, 1)):
-        comp_ll = gmm.component_log_likelihood(x)  # (N, K)
-        total = logsumexp(comp_ll, axis=1)
+        total, resp = _posteriors(gmm.component_log_likelihood(x))  # (N,), (N, K)
         history.append(float(np.sum(total)))
-        resp = np.exp(comp_ll - total[:, None])  # (N, K)
         nk = resp.sum(axis=0)
         degenerate = nk < 1e-10
         if np.any(degenerate):

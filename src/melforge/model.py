@@ -471,8 +471,6 @@ def discriminator_forward(spec, dcfg: DiscriminatorConfig, params):
 
 
 def _mean_pool2(x):
-    b, c, t = x.shape
-    if t % 2:
+    if x.shape[2] % 2:
         x = ops.pad_time(x, 0, 1)
-        t += 1
-    return ops.mean(ops.reshape(x, (b, c, t // 2, 2)), axis=3)
+    return ops.mul(ops.pair_sum(x), 0.5)

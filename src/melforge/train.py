@@ -156,6 +156,10 @@ def load_checkpoint(path, expect_hash: str | None = None, force: bool = False) -
             raise FormatError(f"{path}: metadata lacks {', '.join(missing)}")
         if not isinstance(meta["model_id"], str) or meta["model_id"] not in STAGES:
             raise FormatError(f"{path}: unknown model_id {meta['model_id']!r}")
+        try:
+            RunConfig.from_dict(meta.get("config", {}))
+        except (FormatError, CompatibilityError) as e:
+            raise type(e)(f"{path}: {e}") from e
         params = _read_tensor_table(f, path)
         disc_params = _read_tensor_table(f, path)
         m = _read_tensor_table(f, path)

@@ -1,5 +1,14 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS/OpenMP thread, as perfbench sets: the program's matrices are
+# small, and on a busy two-vCPU machine OpenBLAS threads waiting for work
+# made an SSRN training step about nine times slower (two runs side by
+# side: ~2 s per step, against 0.21 s with one thread each).  This must run
+# before numpy loads OpenBLAS; a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -160,6 +160,16 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
     return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
+def broadcast_gmm_component_ll(x: np.ndarray, weights, means, variances) -> np.ndarray:
+    """(N, K) diagonal-Gaussian log-likelihood plus log weight, from the
+    full (N, K, D) difference array."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    diff = x[:, None, :] - means[None, :, :]
+    quad = np.sum(diff * diff / variances[None], axis=2)
+    logdet = np.sum(np.log(2.0 * np.pi * variances), axis=1)
+    return -0.5 * (quad + logdet[None, :]) + np.log(weights)[None, :]
+
+
 def prefix_decode(text_idx, spk, params, cfg, max_frames=200, stop_energy=0.02, stop_run=10):
     """Constrained decoding that re-runs the audio encoder and decoder over
     the whole prefix at every frame, restacking the emitted frames, contexts

@@ -253,6 +253,48 @@ def test_second_order_conv_penalty_matches_nested_fd(rng):
         assert max_rel_err(gw.data, fd) <= 1e-2
 
 
+def test_pair_sum_matches_reduction_and_repeat_pairs_is_adjoint(rng):
+    """pair_sum equals the pairwise reduction bit for bit (the critic's
+    pooling relies on it), and <pair_sum(x), y> == <x, repeat_pairs(y)>."""
+    x = rng.standard_normal((2, 3, 8)).astype(np.float32)
+    y = rng.standard_normal((2, 3, 4))
+    np.testing.assert_array_equal(
+        ops.pair_sum(Tensor(x)).data, x.reshape(2, 3, 4, 2).sum(axis=3)
+    )
+    x64 = x.astype(np.float64)
+    lhs = np.sum(ops.pair_sum(Tensor(x64)).data * y)
+    rhs = np.sum(x64 * ops.repeat_pairs(Tensor(y)).data)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    with ad.using_dtype(np.float64):
+        _check_grads(lambda ts: ad.tsum(ops.tanh(ops.pair_sum(ts[0]))), [x64], 1e-6, 1e-5)
+        _check_grads(lambda ts: ad.tsum(ops.tanh(ops.repeat_pairs(ts[0]))), [y], 1e-6, 1e-5)
+
+
+def test_pair_sum_second_order_penalty_matches_nested_fd(rng):
+    """d/dw of sum((d s/d x)^2) through pair_sum, as in the critic's
+    gradient penalty, checked against finite differences."""
+    with ad.using_dtype(np.float64):
+        x0 = rng.standard_normal((2, 3, 6))
+        w0 = rng.standard_normal((3, 1)) * 0.7
+
+        def input_grad(wdata):
+            xt = Tensor(x0, requires_grad=True)
+            wt = Tensor(wdata, requires_grad=True)
+            s = ad.tsum(ops.sigmoid(ops.pair_sum(ops.mul(xt, wt))))
+            (gx,) = ad.backward_differentiable(s, [xt])
+            return gx, wt
+
+        gx, wt = input_grad(w0)
+        (gw,) = ad.grad(ad.tsum(ops.mul(gx, gx)), [wt])
+
+        def penalty_of(wdata):
+            g, _ = input_grad(wdata)
+            return float(ad.tsum(ops.mul(g, g)).data)
+
+        fd = central_difference_grad(penalty_of, w0.copy(), 1e-6)
+        assert max_rel_err(gw.data, fd) <= 1e-5
+
+
 def test_backward_determinism(rng):
     x = rng.standard_normal((3, 4)).astype(np.float32)
 

@@ -1,12 +1,16 @@
 """End-to-end CLI behavior on the toy fixture: subcommand plumbing, exit
 codes, determinism and the external score-ingestion path."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from melforge import cli, corpus, dsp
+from melforge import cli, corpus, dsp, train
+from melforge import eval as ev
+from melforge.config import RunConfig
+from melforge.errors import CompatibilityError, FormatError
 
 
 def run_cli(*argv):
@@ -186,6 +190,79 @@ def test_synth_hash_mismatch_exit_4(trained_dir, toy_corpus, tmp_path, prepared_
     assert code == 4
 
 
+BAD_CONFIGS = [
+    ("list", [], 2),
+    ("section_list", {"train": [1, 2]}, 2),
+    ("section_number", {"model": 5}, 2),
+    ("unknown_key", {"train": {"bogus": 1}}, 4),
+    ("unknown_section", {"vocoder": {}}, 4),
+]
+
+
+def test_config_from_dict_refuses_bad_blocks():
+    for name, config, code in BAD_CONFIGS:
+        with pytest.raises(FormatError if code == 2 else CompatibilityError) as e:
+            RunConfig.from_dict(config)
+        for word in ("bogus", "vocoder", "train", "model"):
+            if word in json.dumps(config):
+                assert word in str(e.value), name
+    assert RunConfig.from_dict({"train": None, "dsp": {}}) == RunConfig()
+
+
+def test_doctored_checkpoint_config_exit_2_or_4(trained_dir, prepared_dir, toy_corpus, tmp_path):
+    text = tmp_path / "t.txt"
+    text.write_text("ab.")
+    for name, config, want in BAD_CONFIGS:
+        ck = train.load_checkpoint(trained_dir / "t2m_latest.mfck")
+        ck.config = config
+        bad = tmp_path / f"{name}.mfck"
+        train.save_checkpoint(ck, bad)
+        synth = run_cli(
+            "synth", "--text", text, "--speaker", "spk0",
+            "--embeddings", toy_corpus / "embeddings.mfem",
+            "--t2m", bad, "--ssrn", trained_dir / "ssrn_latest.mfck",
+            "--out", tmp_path / "x.wav",
+        )
+        disc = run_cli(
+            "eval-antispoof", "--real", toy_corpus / "spk0", "--synth", toy_corpus / "spk1",
+            "--backend", f"discriminator:{bad}:base", "--out", tmp_path / "anti",
+        )
+        resume = run_cli(
+            "train", "t2m",
+            "--manifest", prepared_dir / "train.jsonl",
+            "--embeddings", toy_corpus / "embeddings.mfem",
+            "--out", tmp_path / "out", "--config", trained_dir / "cfg.json",
+            "--resume", bad,
+        )
+        assert (synth, disc, resume) == (want, want, want), name
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_bad_config_file_exit_2_or_4(trained_dir, toy_corpus, tmp_path):
+    text = tmp_path / "t.txt"
+    text.write_text("ab.")
+    files = [(name, json.dumps(config), want) for name, config, want in BAD_CONFIGS]
+    files.append(("not_json", "{model: 1", 2))
+    files.append(("not_utf8", b"\xff\xfe{}", 2))
+    for name, body, want in files:
+        path = tmp_path / f"{name}.json"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
+        sv = run_cli("eval-sv", "--protocol-dir", tmp_path / "proto", "--config", path)
+        synth = run_cli(
+            "synth", "--text", text, "--speaker", "spk0",
+            "--embeddings", toy_corpus / "embeddings.mfem",
+            "--t2m", trained_dir / "t2m_latest.mfck",
+            "--ssrn", trained_dir / "ssrn_latest.mfck",
+            "--out", tmp_path / "x.wav", "--config", path,
+        )
+        assert (sv, synth) == (want, want), name
+    assert run_cli("eval-sv", "--protocol-dir", tmp_path / "proto",
+                   "--config", tmp_path / "missing.json") == 2
+
+
 def test_eval_sv_builtin_and_ingested_match(prepared_dir, toy_corpus, tmp_path, tiny_cfg_file):
     pdir = tmp_path / "proto"
     common = [
@@ -291,6 +368,35 @@ def test_eval_antispoof_gmm_backend(toy_corpus, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["eer"] <= 1.0
     assert (out / "antispoof_scores.csv").exists()
+
+
+def test_eval_antispoof_csv_holds_exact_scores(toy_corpus, tmp_path, monkeypatch):
+    """The score CSV holds the very floats behind the report's EER."""
+    seen = []
+    eer_of = ev.antispoof_eer
+
+    def tap(real, synth):
+        seen.append((list(real), list(synth)))
+        return eer_of(real, synth)
+
+    monkeypatch.setattr(ev, "antispoof_eer", tap)
+    out = tmp_path / "anti"
+    code = run_cli(
+        "eval-antispoof",
+        "--real", toy_corpus / "spk0",
+        "--synth", toy_corpus / "spk1",
+        "--gmm-components", 2,
+        "--gmm-iters", 5,
+        "--out", out,
+    )
+    assert code == 0
+    real, synth = [], []
+    with open(out / "antispoof_scores.csv", newline="", encoding="utf-8") as f:
+        for row in csv.DictReader(f):
+            (real if row["source"] == "real" else synth).append(float(row["score"]))
+    assert seen == [(real, synth)]
+    report = json.loads((out / "report.json").read_text())
+    assert eer_of(real, synth) == report["eer"]
 
 
 def test_eval_antispoof_identical_sets_eer_half(toy_corpus, tmp_path):

@@ -8,7 +8,10 @@ from melforge import eval as ev
 from melforge.config import ProtocolConfig
 from melforge.corpus import EmbeddingStore, Manifest, ManifestRecord
 from melforge.errors import ProtocolError
-from oracles import brute_force_eer, sweep_sr_frr_far
+from scipy.special import logsumexp
+from scipy.stats import norm
+
+from oracles import broadcast_gmm_component_ll, brute_force_eer, sweep_sr_frr_far
 
 
 def _manifest(speakers, utts, prefix=""):
@@ -75,6 +78,25 @@ def test_score_trials_cosine(rng):
         assert abs(ev.cosine_score(x, y) - expect) <= 1e-6
     with pytest.raises(ProtocolError, match="t3"):
         ev.score_trials({"spk": a}, [ev.Trial("t3", "spk", "zz", "real", True)], store)
+
+
+def test_score_trials_equals_per_trial_cosine_loop(rng):
+    cfg = ProtocolConfig(n_enroll=3, n_target=6, n_synth=4, seed=2)
+    test_man, synth_man = _manifest(5, 12), _manifest(5, 6, prefix="syn-")
+    enrollment, trials = ev.build_protocol(test_man, synth_man, cfg)
+    store = EmbeddingStore(16)
+    for r in (*test_man.records, *synth_man.records):
+        store.add(r.utterance_id, rng.standard_normal(16))
+    models = {s: ev.enroll([store[u].vector for u in utts]) for s, utts in enrollment.items()}
+    scores = ev.score_trials(models, trials, store)
+    loop = [ev.cosine_score(models[t.claimed_speaker], store[t.utterance_id].vector) for t in trials]
+    assert scores.shape == (len(trials),) and scores.dtype == np.float64
+    np.testing.assert_allclose(scores, loop, rtol=0, atol=1e-12)
+    assert ev.score_trials(models, [], store).shape == (0,)
+    with pytest.raises(ValueError, match="zero-norm"):
+        ev.score_trials({**models, "spk0": np.zeros(16)}, trials, store)
+    with pytest.raises(ProtocolError, match="spk0"):
+        ev.score_trials({s: m for s, m in models.items() if s != "spk0"}, trials, store)
 
 
 def test_compute_eer_examples():
@@ -196,10 +218,68 @@ def test_gmm_argument_validation(rng):
 def test_gmm_degenerate_reseed(rng):
     """A far outlier component with no mass gets re-seeded and fitting
     still produces a usable model."""
-    x = np.vstack([rng.standard_normal((50, 2)), [[500.0, 500.0]]])
+    x = _far_outlier_set(rng)
     gmm, hist = ev.gmm_fit_em(x, 3, iters=25, seed=0)
     assert np.all(np.isfinite(gmm.means))
     assert np.all(gmm.weights > 0)
+
+
+def _far_outlier_set(rng):
+    return np.vstack([rng.standard_normal((50, 2)), [[500.0, 500.0]]])
+
+
+def _assert_matches_broadcast(gmm, x):
+    want = broadcast_gmm_component_ll(x, gmm.weights, gmm.means, gmm.variances)
+    np.testing.assert_allclose(gmm.component_log_likelihood(x), want, rtol=1e-9, atol=0)
+
+
+def test_gmm_component_ll_matches_broadcast_random(rng):
+    x = rng.standard_normal((400, 12)) * 2.0
+    gmm = ev.DiagonalGmm(
+        weights=rng.dirichlet(np.ones(8)),
+        means=rng.standard_normal((8, 12)) * 2.0,
+        variances=rng.uniform(0.2, 5.0, (8, 12)),
+    )
+    _assert_matches_broadcast(gmm, x)
+
+
+def test_gmm_component_ll_matches_broadcast_far_offset_with_floored_variances(rng):
+    """Features near +1e3 with some variances at VAR_FLOOR: the matrix
+    expansion needs its centring to keep 1e-9 here."""
+    x = rng.standard_normal((400, 12)) * 3.0 + 1e3
+    variances = rng.uniform(0.5, 4.0, (16, 12))
+    variances[rng.random((16, 12)) < 0.1] = ev.VAR_FLOOR
+    gmm = ev.DiagonalGmm(
+        weights=rng.dirichlet(np.ones(16)),
+        means=x[rng.choice(400, 16, replace=False)] + 0.1 * rng.standard_normal((16, 12)),
+        variances=variances,
+    )
+    _assert_matches_broadcast(gmm, x)
+
+
+def test_gmm_component_ll_matches_broadcast_far_outlier(rng):
+    x = _far_outlier_set(rng)
+    gmm, _ = ev.gmm_fit_em(x, 3, iters=25, seed=0)
+    _assert_matches_broadcast(gmm, x)
+
+
+def test_gmm_fit_at_antispoof_size_monotone_and_matches_scipy():
+    """K = 64, 20 iterations on 3,072 x 60 frames, as eval-antispoof fits."""
+    rng = np.random.default_rng(7)
+    centres = rng.standard_normal((24, 60)) * 4.0
+    x = centres[rng.integers(24, size=3072)] + rng.standard_normal((3072, 60))
+    gmm, hist = ev.gmm_fit_em(x, 64, iters=20, seed=3)
+    h = np.asarray(hist)
+    assert h.size == 21
+    assert np.all(np.diff(h) >= -1e-9 * np.abs(h[:-1]))
+    assert np.sum(gmm.weights) == pytest.approx(1.0, rel=1e-12)
+    assert np.all(gmm.variances >= ev.VAR_FLOOR)
+    for field in (gmm.weights, gmm.means, gmm.variances):
+        assert field.dtype == np.float64
+    sub = x[rng.choice(x.shape[0], size=64, replace=False)]
+    per_comp = norm.logpdf(sub[:, None, :], gmm.means[None], np.sqrt(gmm.variances)[None])
+    want = logsumexp(per_comp.sum(axis=2) + np.log(gmm.weights)[None], axis=1)
+    np.testing.assert_allclose(gmm.log_likelihood(sub), want, rtol=1e-9, atol=1e-9)
 
 
 def test_antispoof_score_properties(rng):
