@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,6 +144,8 @@ def _params_from(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
 
 
 def cmd_synth(args) -> int:
+    if args.max_frames < 1:
+        raise CorpusError(f"--max-frames must be >= 1, got {args.max_frames}")
     t2m_ck = train.load_checkpoint(args.t2m)
     ssrn_ck = train.load_checkpoint(args.ssrn)
     if t2m_ck.feature_hash != ssrn_ck.feature_hash and not args.force:
@@ -168,8 +171,14 @@ def cmd_synth(args) -> int:
     store = corpus.load_embeddings(args.embeddings)
     if args.speaker not in store:
         raise CorpusError(f"speaker {args.speaker!r} not in embedding store")
-    spk = store[args.speaker]
     mcfg = run_cfg.model
+    if store.dim != mcfg.speaker_dim:
+        raise CompatibilityError(
+            f"embedding store holds {store.dim}-dim vectors, but"
+            f" model.speaker_dim is {mcfg.speaker_dim}"
+        )
+    spk = store[args.speaker]
+    clock = [time.perf_counter()]  # decode start, then the end of each stage
     dmel, att, path = model.t2m_generate(
         seq.indices,
         spk,
@@ -177,7 +186,9 @@ def cmd_synth(args) -> int:
         mcfg,
         max_frames=args.max_frames,
     )
+    clock.append(time.perf_counter())
     lin = model.ssrn_forward(dmel, _params_from(ssrn_ck.params), mcfg).data
+    clock.append(time.perf_counter())
     mag = dsp.denormalize_db(lin, run_cfg.dsp.ref_lin, run_cfg.dsp.gl_sharpen)
     wave = dsp.griffin_lim(
         mag,
@@ -187,6 +198,11 @@ def cmd_synth(args) -> int:
         sample_rate=run_cfg.dsp.sample_rate,
         seed=seed,
     )
+    clock.append(time.perf_counter())
+    timings_ms = {
+        stage: round((end - start) * 1e3, 3)
+        for stage, start, end in zip(("decode", "ssrn", "griffin_lim"), clock, clock[1:])
+    }
     dsp.write_wav(wave, args.out)
     sidecar = {
         "feature_hash": t2m_ck.feature_hash,
@@ -195,6 +211,8 @@ def cmd_synth(args) -> int:
         "speaker": args.speaker,
         "frames": int(dmel.shape[1]),
         "attention_path": [int(p) for p in path],
+        "timings_ms": timings_ms,
+        "decode_ms_per_frame": round(timings_ms["decode"] / dmel.shape[1], 4),
     }
     _write_json(str(args.out) + ".json", sidecar)
     if args.attention:

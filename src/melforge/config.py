@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -57,7 +58,9 @@ class RunConfig:
     def from_dict(cls, d) -> "RunConfig":
         """Missing or null sections take their defaults.
 
-        Raises FormatError when ``d`` or a section is not a JSON object, and
+        Raises FormatError when ``d`` or a section is not a JSON object or a
+        value has the wrong type (an int is accepted for a float, null only
+        for an optional int, a bool never for a number), and
         CompatibilityError naming an unknown section or key (say, one
         written by a newer version).
         """
@@ -79,8 +82,28 @@ class RunConfig:
             unknown = sorted(values.keys() - {f.name for f in fields(section_cls)})
             if unknown:
                 raise CompatibilityError(f"unknown key {unknown[0]!r} in config section {name!r}")
+            for f in fields(section_cls):
+                if f.name in values and not _FIELD_TYPES[f.type](values[f.name]):
+                    raise FormatError(
+                        f"config key {name}.{f.name} must be {f.type},"
+                        f" got {values[f.name]!r}"
+                    )
             built[name] = section_cls(**values)
         return cls(**built)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# annotation (a string under postponed evaluation) -> accepted values; an
+# int is a valid float, a bool is neither
+_FIELD_TYPES = {
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
 
 
 def feature_hash(cfg: FeatureConfig) -> str:
@@ -110,7 +133,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         cfg = replace(cfg, **{section: replace(getattr(cfg, section), **given)})
     env_seed = os.environ.get("MELFORGE_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise FormatError(f"MELFORGE_SEED must be an integer, got {env_seed!r}") from None
         cfg = replace(
             cfg,
             train=replace(cfg.train, seed=seed),

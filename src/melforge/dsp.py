@@ -208,6 +208,15 @@ def griffin_lim(
     the signal whose centered `stft` produced ``mag``.  With
     ``return_errors=True`` also returns the per-iteration error history
     (length iters + 1, starting at the initial estimate).
+
+    Layout: ``mag`` is (F, T), but every spectrum and intermediate is kept
+    in the C-contiguous (T, F) layout that ``rfft`` produces and ``irfft``
+    consumes along axis 1, so no transform or elementwise pass reads a
+    strided array, and the elementwise passes write into preallocated
+    buffers.  The waveform is bit-identical to the same formulas run in the
+    (F, T) layout.  So is the error history for a ``mag`` of >= 32768
+    values (every SSRN output of >= 64 frames); below that size numpy sums
+    an (F, T) error in (F, T) order, so its last bit may differ.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
@@ -216,38 +225,62 @@ def griffin_lim(
     if np.any(mag < 0) or not np.all(np.isfinite(mag)):
         raise ValueError("magnitudes must be finite and non-negative")
     t_frames = mag.shape[1]
+    mag_tf = np.ascontiguousarray(mag.T)
     window = np.hanning(win)
     norm = np.maximum(
         _overlap_add(np.broadcast_to(window * window, (t_frames, win)), hop), 1e-12
     )
+    frames = np.empty((t_frames, win))  # windowed frames, both directions
+    real = np.empty(mag_tf.shape)  # |spec| and its variants
+    work = np.empty(mag_tf.shape, dtype=np.complex128)  # projected spectrum
 
     def analyze(x: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(_frames(x, win, hop) * window, axis=1).T
+        np.multiply(_frames(x, win, hop), window, out=frames)
+        return np.fft.rfft(frames, axis=1)  # (T, F)
 
-    def synthesize(grid: np.ndarray) -> np.ndarray:
-        return _overlap_add(np.fft.irfft(grid.T, n=win, axis=1) * window, hop) / norm
+    def synthesize(spec: np.ndarray) -> np.ndarray:
+        np.fft.irfft(spec, n=win, axis=1, out=frames)
+        np.multiply(frames, window, out=frames)
+        x = _overlap_add(frames, hop)
+        x /= norm
+        return x
 
     def project(spec: np.ndarray) -> np.ndarray:
-        return mag * (spec / np.maximum(np.abs(spec), 1e-12))
+        """mag * (spec / max(|spec|, 1e-12)) into ``work``.  The divide
+        stays complex by real: numpy computes it as a multiply by the
+        reciprocal, so dividing a real view of ``spec`` changes bits."""
+        np.abs(spec, out=real)
+        np.maximum(real, 1e-12, out=real)
+        np.divide(spec, real, out=work)
+        return np.multiply(mag_tf, work, out=work)
+
+    def error(spec: np.ndarray) -> float:
+        """|| |spec| - mag ||_2"""
+        np.abs(spec, out=real)
+        return float(np.linalg.norm(np.subtract(real, mag_tf, out=real)))
 
     rng = np.random.default_rng(seed)
-    x = synthesize(project(np.exp(2j * np.pi * rng.random(mag.shape))))
+    # phases drawn in (F, T) order, as the seeded contract has them
+    phase = np.ascontiguousarray(rng.random(mag.shape).T)
+    x = synthesize(project(np.exp(2j * np.pi * phase)))
     spec = analyze(x)
     spec_prev = spec
-    err = float(np.linalg.norm(np.abs(spec) - mag))
+    err = error(spec)
     errors = [err]
     for _ in range(iters):
-        extrapolated = spec + momentum * (spec - spec_prev)
-        cand = synthesize(project(extrapolated))
+        # spec + momentum * (spec - spec_prev), built up in ``work``
+        np.subtract(spec, spec_prev, out=work)
+        np.multiply(momentum, work, out=work)
+        cand = synthesize(project(np.add(spec, work, out=work)))
         cand_spec = analyze(cand)
-        cand_err = float(np.linalg.norm(np.abs(cand_spec) - mag))
+        cand_err = error(cand_spec)
         if cand_err <= err:
             x, spec_prev, spec, err = cand, spec, cand_spec, cand_err
         else:
             plain = synthesize(project(spec))
             plain_spec = analyze(plain)
             x, spec_prev, spec = plain, spec, plain_spec
-            err = float(np.linalg.norm(np.abs(plain_spec) - mag))
+            err = error(plain_spec)
         errors.append(err)
     pad = win // 2
     out = np.zeros(t_frames * hop)

@@ -18,9 +18,13 @@ Layout: activations are (B, C, T), text indices (B, N); ``attend``,
 ``t2m_teacher_forced`` and ``discriminator_forward`` refuse anything else
 with a ``ValueError``.  Only ``tenc_forward``, ``asenc_forward``,
 ``adec_forward`` and ``ssrn_forward`` also take one unbatched utterance
-((N,) text, (C, T) frames, (S,) speaker), run as a batch of one: frame-by-
-frame decoding in ``t2m_generate`` and the ``perfbench`` synth workload
-call them that way.
+((N,) text, (C, T) frames, (S,) speaker), run as a batch of one; that form
+survives only for the ``perfbench`` synth workload (``wl_synth.py``).
+
+Decoding (``t2m_generate``) runs the causal audio encoder and decoder in
+step mode: a tape-free numpy path over the same parameter arrays in which
+every causal layer keeps a zero-padded history of its inputs and emits one
+column per frame, so each frame costs the same whatever the prefix length.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from . import autodiff as ad
 from .autodiff import Tensor, nn, ops
@@ -366,6 +371,80 @@ def t2m_teacher_forced(
     return y, a
 
 
+def _step_conv(a, name, x, activation=None):
+    """One output column of the 1x1 conv ``name`` (then its layer norm and
+    ``activation``) on the input column ``x``."""
+    w = a[f"{name}.w"]
+    y = w.reshape(w.shape[0], -1) @ x + a[f"{name}.b"]
+    if f"{name}.ln_g" in a:  # nn.layer_norm on one column
+        inv_c = 1.0 / y.size
+        yc = y - y.sum() * inv_c
+        y = yc / np.sqrt((yc * yc).sum() * inv_c + 1e-5) * a[f"{name}.ln_g"] + a[f"{name}.ln_b"]
+    return activation(y) if activation is not None else y
+
+
+class _StepHighway:
+    """Step mode of one causal highway layer: its inputs so far, behind
+    (K-1)*dilation zero columns, so step t reads the taps t-(K-1)d .. t-d, t
+    as one strided slice and does one mat-vec with the (2C, C*K) kernel."""
+
+    def __init__(self, a, name, dilation, max_frames):
+        w = a[f"{name}.w"]
+        two_c, c, k = w.shape
+        self.w2 = w.reshape(two_c, c * k)
+        self.b = a[f"{name}.b"]
+        self.c = c
+        self.dilation = dilation
+        self.span = (k - 1) * dilation
+        self.history = np.zeros((c, self.span + max_frames), dtype=w.dtype)
+
+    def __call__(self, x, t):
+        self.history[:, t + self.span] = x
+        taps = self.history[:, t : t + self.span + 1 : self.dilation]  # (C, K)
+        h = self.w2 @ taps.reshape(-1) + self.b
+        gate = scipy.special.expit(h[: self.c])
+        return gate * h[self.c :] + (1.0 - gate) * x
+
+
+def _relu(x):
+    return np.maximum(x, 0)
+
+
+class _StepDecoder:
+    """Tape-free step mode of ``asenc_forward`` and ``adec_forward`` for one
+    utterance: ``query`` maps the previous mel frame to Q at step t, and
+    ``frame`` maps [context; Q] at step t to the next mel frame.  Layer norm
+    works per time step, so a step sees what the full causal pass sees."""
+
+    def __init__(self, params, spk_vec, max_frames: int):
+        self.a = a = {k: t.data for k, t in params.items()}
+        self.spk_proj = a["asenc.spk.w"] @ spk_vec + a["asenc.spk.b"]
+        self.asenc = [
+            _StepHighway(a, f"asenc.hw{i}", dil, max_frames)
+            for i, dil in enumerate(ASENC_DILATIONS)
+        ]
+        self.adec = [
+            _StepHighway(a, f"adec.hw{i}", dil, max_frames)
+            for i, dil in enumerate(ADEC_DILATIONS)
+        ]
+
+    def query(self, prev_frame, t):
+        a = self.a
+        x = _step_conv(a, "asenc.c0", prev_frame, _relu)
+        x = _step_conv(a, "asenc.c1", x) + self.spk_proj
+        for layer in self.asenc:
+            x = layer(x, t)
+        return _step_conv(a, "asenc.out", x)
+
+    def frame(self, context_and_q, t):
+        a = self.a
+        x = _step_conv(a, "adec.c0", context_and_q, _relu)
+        for layer in self.adec:
+            x = layer(x, t)
+        x = _step_conv(a, "adec.c1", x, _relu)
+        return scipy.special.expit(_step_conv(a, "adec.out", x))
+
+
 def t2m_generate(
     text_idx,
     spk,
@@ -375,7 +454,13 @@ def t2m_generate(
     stop_energy: float = 0.02,
     stop_run: int = 10,
 ):
-    """Frame-by-frame constrained decoding.
+    """Frame-by-frame constrained decoding in step mode.
+
+    The causal audio encoder and decoder run one column per frame
+    (`_StepDecoder`), so every frame costs the same, O(1) in the prefix
+    length; the text encoder runs once.  Output equals re-running
+    ``asenc_forward`` / ``adec_forward`` over the whole prefix at every
+    frame up to float rounding.
 
     At each step the attention column is masked to the window
     [p_prev, p_prev + 2] (p starts at 0), renormalized, and the new position
@@ -384,6 +469,7 @@ def t2m_generate(
     reached the last character and ``stop_run`` consecutive frames have mean
     magnitude below ``stop_energy``, or at ``max_frames``.
 
+    float32 parameters give a float32 mel, float64 parameters a float64 one.
     Returns (mel (M, T), attention (N, T), path list of length T).
     """
     if max_frames < 1:
@@ -393,40 +479,41 @@ def t2m_generate(
         raise ValueError("generation takes a single unbatched text sequence")
     n = idx.size
     spk_vec = spk.vector if isinstance(spk, SpeakerEmbedding) else np.asarray(spk)
+    if spk_vec.size != cfg.speaker_dim:
+        raise ValueError(
+            f"speaker embedding of shape {spk_vec.shape}, expected ({cfg.speaker_dim},)"
+        )
     dt = params["adec.out.w"].data.dtype
-    spk_vec = spk_vec.astype(dt)
     with ad.no_grad():
         k, v = tenc_forward(idx, params, cfg)
-        k_np, v_np = k.data, v.data  # (d, N)
-        d = k_np.shape[0]
-        # column 0 of mel is the all-zero start frame; frame t lands in t + 1
-        mel = np.zeros((cfg.n_mels, max_frames + 1), dtype=dt)
-        ctx = np.zeros((d, max_frames))
-        att = np.zeros((n, max_frames))
-        path: list[int] = []
-        p_prev = 0
-        low_run = 0
-        for t in range(max_frames):
-            q = asenc_forward(mel[:, : t + 1], spk_vec, params, cfg).data
-            scores = (k_np.T @ q[:, -1]) / np.sqrt(d)  # (N,)
-            window = np.full(n, -np.inf)
-            lo, hi = p_prev, min(p_prev + 2, n - 1)
-            window[lo : hi + 1] = scores[lo : hi + 1]
-            col = np.exp(window - window[lo : hi + 1].max())
-            col /= col.sum()
-            p_t = int(np.argmax(col))
-            path.append(p_t)
-            att[:, t] = col
-            ctx[:, t] = v_np @ col
-            dec_in = np.concatenate([ctx[:, : t + 1], q], axis=0)
-            frame = adec_forward(dec_in.astype(dt), params, cfg).data[:, -1]
-            mel[:, t + 1] = frame
-            p_prev = p_t
-            low_run = low_run + 1 if frame.mean() < stop_energy else 0
-            if p_t >= n - 1 and low_run >= stop_run:
-                break
+    k_np, v_np = k.data, v.data  # (d, N)
+    d = k_np.shape[0]
+    dec = _StepDecoder(params, spk_vec.reshape(-1).astype(dt), max_frames)
+    mel = np.zeros((cfg.n_mels, max_frames), dtype=dt)
+    att = np.zeros((n, max_frames))
+    frame = np.zeros(cfg.n_mels, dtype=dt)  # the all-zero start frame
+    path: list[int] = []
+    p_prev = 0
+    low_run = 0
+    for t in range(max_frames):
+        q = dec.query(frame, t)
+        scores = (k_np.T @ q) / np.sqrt(d)  # (N,)
+        window = np.full(n, -np.inf)
+        lo, hi = p_prev, min(p_prev + 2, n - 1)
+        window[lo : hi + 1] = scores[lo : hi + 1]
+        col = np.exp(window - window[lo : hi + 1].max())
+        col /= col.sum()
+        p_t = int(np.argmax(col))
+        path.append(p_t)
+        att[:, t] = col
+        frame = dec.frame(np.concatenate([v_np @ col, q]).astype(dt), t)
+        mel[:, t] = frame
+        p_prev = p_t
+        low_run = low_run + 1 if frame.mean() < stop_energy else 0
+        if p_t >= n - 1 and low_run >= stop_run:
+            break
     t = len(path)
-    return mel[:, 1 : t + 1].copy(), att[:, :t].copy(), path
+    return mel[:, :t].copy(), att[:, :t].copy(), path
 
 
 def ssrn_forward(dmel, params, cfg: ModelConfig):

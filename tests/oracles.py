@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive (nested loops, O(n^2) transforms,
 exhaustive sweeps, full-prefix recomputation) and shares no code with the
-package internals; ``prefix_decode`` calls only the public model layers.
+package internals; ``prefix_decode`` calls only the public model layers,
+and ``strided_griffin_lim`` only the framing and overlap-add helpers of
+``melforge.dsp``, which ``loop_istft`` checks on their own.
 """
 
 import numpy as np
 
 from melforge import autodiff as ad
-from melforge import model
+from melforge import dsp, model
 
 
 def naive_dft(frame: np.ndarray) -> np.ndarray:
@@ -210,3 +212,53 @@ def prefix_decode(text_idx, spk, params, cfg, max_frames=200, stop_energy=0.02, 
             if p_t >= n - 1 and low_run >= stop_run:
                 break
     return np.stack(frames, axis=1), np.stack(att_cols, axis=1), path
+
+
+def strided_griffin_lim(mag, iters, win=1024, hop=256, seed=0, momentum=0.99):
+    """Griffin-Lim with every spectrum kept in the (F, T) layout of ``mag``:
+    the transposed ``rfft`` output, and an ``irfft`` input mixed from a
+    C-ordered ``mag`` and a transposed spectrum.  Same formulas, seeding and
+    momentum safeguard as ``dsp.griffin_lim``; returns (samples, errors,
+    number of rejected momentum steps)."""
+    mag = np.asarray(mag, dtype=np.float64)
+    t_frames = mag.shape[1]
+    window = np.hanning(win)
+    norm = np.maximum(
+        dsp._overlap_add(np.broadcast_to(window * window, (t_frames, win)), hop), 1e-12
+    )
+
+    def analyze(x):
+        return np.fft.rfft(dsp._frames(x, win, hop) * window, axis=1).T
+
+    def synthesize(grid):
+        return dsp._overlap_add(np.fft.irfft(grid.T, n=win, axis=1) * window, hop) / norm
+
+    def project(spec):
+        return mag * (spec / np.maximum(np.abs(spec), 1e-12))
+
+    rng = np.random.default_rng(seed)
+    x = synthesize(project(np.exp(2j * np.pi * rng.random(mag.shape))))
+    spec = analyze(x)
+    spec_prev = spec
+    err = float(np.linalg.norm(np.abs(spec) - mag))
+    errors = [err]
+    rejected = 0
+    for _ in range(iters):
+        extrapolated = spec + momentum * (spec - spec_prev)
+        cand = synthesize(project(extrapolated))
+        cand_spec = analyze(cand)
+        cand_err = float(np.linalg.norm(np.abs(cand_spec) - mag))
+        if cand_err <= err:
+            x, spec_prev, spec, err = cand, spec, cand_spec, cand_err
+        else:
+            rejected += 1
+            plain = synthesize(project(spec))
+            plain_spec = analyze(plain)
+            x, spec_prev, spec = plain, spec, plain_spec
+            err = float(np.linalg.norm(np.abs(plain_spec) - mag))
+        errors.append(err)
+    pad = win // 2
+    out = np.zeros(t_frames * hop)
+    avail = x[pad : pad + t_frames * hop]
+    out[: avail.size] = avail
+    return out, errors, rejected

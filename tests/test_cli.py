@@ -166,6 +166,8 @@ def test_synth_and_determinism(trained_dir, toy_corpus, tmp_path):
     assert np.all((steps >= 0) & (steps <= 2))
     sidecar = json.loads((tmp_path / "a.wav.json").read_text())
     assert "feature_hash" in sidecar
+    assert set(sidecar["timings_ms"]) == {"decode", "ssrn", "griffin_lim"}
+    assert min(sidecar["timings_ms"].values()) >= 0 and sidecar["decode_ms_per_frame"] >= 0
     # bit-identical on rerun with the same seed
     args[args.index(tmp_path / "a.wav")] = tmp_path / "b.wav"
     assert run_cli(*args) == 0
@@ -190,12 +192,46 @@ def test_synth_hash_mismatch_exit_4(trained_dir, toy_corpus, tmp_path, prepared_
     assert code == 4
 
 
+def _synth_args(trained_dir, toy_corpus, tmp_path, embeddings=None):
+    text = tmp_path / "t.txt"
+    text.write_text("ab.")
+    return [
+        "synth", "--text", text, "--speaker", "spk0",
+        "--embeddings", embeddings or toy_corpus / "embeddings.mfem",
+        "--t2m", trained_dir / "t2m_latest.mfck",
+        "--ssrn", trained_dir / "ssrn_latest.mfck",
+        "--out", tmp_path / "x.wav",
+    ]
+
+
+@pytest.mark.parametrize("frames", [0, -3])
+def test_synth_refuses_max_frames_below_one_exit_2(trained_dir, toy_corpus, tmp_path, frames):
+    args = _synth_args(trained_dir, toy_corpus, tmp_path)
+    assert run_cli(*args, "--max-frames", frames) == 2
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_synth_refuses_embedding_size_mismatch_exit_4(
+    trained_dir, toy_corpus, tmp_path, capsys
+):
+    small = corpus.EmbeddingStore(256)
+    small.add("spk0", np.ones(256, dtype=np.float32))
+    corpus.save_embeddings(small, tmp_path / "small.mfem")
+    args = _synth_args(trained_dir, toy_corpus, tmp_path, tmp_path / "small.mfem")
+    assert run_cli(*args) == 4
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert "256" in err and "512" in err
+    assert not (tmp_path / "x.wav").exists()
+
+
 BAD_CONFIGS = [
     ("list", [], 2),
     ("section_list", {"train": [1, 2]}, 2),
     ("section_number", {"model": 5}, 2),
     ("unknown_key", {"train": {"bogus": 1}}, 4),
     ("unknown_section", {"vocoder": {}}, 4),
+    ("str_for_int", {"protocol": {"n_enroll": "2"}}, 2),
+    ("bool_for_int", {"train": {"seed": True}}, 2),
 ]
 
 
@@ -207,6 +243,26 @@ def test_config_from_dict_refuses_bad_blocks():
             if word in json.dumps(config):
                 assert word in str(e.value), name
     assert RunConfig.from_dict({"train": None, "dsp": {}}) == RunConfig()
+
+
+def test_config_from_dict_checks_value_types():
+    assert RunConfig.from_dict(RunConfig().to_dict()) == RunConfig()
+    cfg = RunConfig.from_dict(
+        {"train": {"alpha": 1, "seed": 3}, "model": {"t2m_width": None, "ssrn_width": 24}}
+    )
+    assert cfg.train.alpha == 1 and cfg.model.ssrn_width == 24
+    for section, key, value in [
+        ("protocol", "n_enroll", "2"),
+        ("protocol", "n_target", 2.0),
+        ("train", "seed", True),
+        ("train", "alpha", False),
+        ("train", "alpha", "1e-4"),
+        ("train", "max_iters", None),
+        ("train", "disc_variant", 1),
+        ("model", "t2m_width", 8.5),
+    ]:
+        with pytest.raises(FormatError, match=f"{section}.{key}"):
+            RunConfig.from_dict({section: {key: value}})
 
 
 def test_doctored_checkpoint_config_exit_2_or_4(trained_dir, prepared_dir, toy_corpus, tmp_path):
@@ -454,3 +510,12 @@ def test_env_seed_override(monkeypatch):
     assert cfg.protocol.seed == 777
     monkeypatch.delenv("MELFORGE_SEED")
     assert load_config().train.seed == 0
+
+
+def test_env_seed_not_an_integer_exit_2(monkeypatch, tmp_path):
+    from melforge.config import load_config
+
+    monkeypatch.setenv("MELFORGE_SEED", "abc")
+    with pytest.raises(FormatError, match="MELFORGE_SEED"):
+        load_config()
+    assert run_cli("eval-sv", "--protocol-dir", tmp_path / "proto") == 2

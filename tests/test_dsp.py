@@ -7,7 +7,7 @@ import pytest
 
 from melforge import dsp
 from melforge.errors import FormatError
-from oracles import loop_istft, max_rel_err, naive_dct2_ortho, naive_dft
+from oracles import loop_istft, max_rel_err, naive_dct2_ortho, naive_dft, strided_griffin_lim
 
 
 @pytest.fixture
@@ -109,6 +109,34 @@ def test_griffin_lim_deterministic(rng):
     a = dsp.griffin_lim(mag, 15).samples
     b = dsp.griffin_lim(mag, 15).samples
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["tone", "overshoot", "small"])
+def test_griffin_lim_matches_strided_layout_oracle(case, rng):
+    """The contiguous (T, F) Griffin-Lim returns the waveform of the same
+    formulas run in the (F, T) layout bit for bit, and its error history
+    too from 256 KiB of magnitudes on.  "overshoot" takes a momentum large
+    enough to reject some extrapolated steps, so the fallback runs."""
+    win, hop, momentum = 1024, 256, 0.99
+    if case == "tone":
+        sine = 0.8 * np.sin(2 * np.pi * 440 * np.arange(70 * 256) / 22050)
+        mag = np.abs(dsp.stft(dsp.Waveform(sine, 22050), win, hop))  # (513, 71)
+    elif case == "overshoot":
+        mag, momentum = rng.random((513, 70)) ** 3, 1.5
+    else:
+        mag, win, hop = rng.random((33, 17)), 64, 16
+    wave, errors = dsp.griffin_lim(
+        mag, 20, win=win, hop=hop, momentum=momentum, return_errors=True
+    )
+    samples, errors_o, rejected = strided_griffin_lim(
+        mag, 20, win=win, hop=hop, momentum=momentum
+    )
+    assert np.array_equal(wave.samples, samples)
+    if case == "small":  # (F, T) sums this error in (F, T) order
+        np.testing.assert_allclose(errors, errors_o, rtol=1e-15, atol=0.0)
+    else:
+        assert errors == errors_o
+    assert (rejected > 0) == (case == "overshoot")
 
 
 def test_mel_scale_value():
