@@ -12,10 +12,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+# One BLAS/OpenMP thread unless the environment already says otherwise: the
+# program's matrices are small, and on a busy two-vCPU machine OpenBLAS at
+# its default two threads made `model.tenc_forward` on 100 characters take
+# about 100 ms, against 6 ms with one.  This must run before numpy loads
+# OpenBLAS.  Griffin-Lim's worker threads make no BLAS call.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -16,8 +16,11 @@ Conventions:
 
 from __future__ import annotations
 
+import os
 import struct
 import wave as wave_mod
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -184,6 +187,20 @@ def istft(
     return Waveform(out, sample_rate=sample_rate)
 
 
+# STFT frames per Griffin-Lim work block: the unit a worker thread takes.
+_GL_BLOCK = 128
+
+
+def _gl_workers(n_blocks: int) -> int:
+    """Worker threads for ``n_blocks`` Griffin-Lim blocks: the CPUs this
+    process may run on, at most one per block, at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_blocks))
+
+
 def griffin_lim(
     mag: np.ndarray,
     iters: int = 100,
@@ -204,24 +221,40 @@ def griffin_lim(
     increases the error.  The error sequence is therefore non-increasing by
     construction.
 
-    Deterministic given ``seed``.  Output length is T * hop, aligned with
-    the signal whose centered `stft` produced ``mag``.  With
-    ``return_errors=True`` also returns the per-iteration error history
-    (length iters + 1, starting at the initial estimate).
+    Deterministic given ``seed``.  ``mag`` is (win//2+1, T).  Output length
+    is T * hop, aligned with the signal whose centered `stft` produced
+    ``mag``.  With ``return_errors=True`` also returns the per-iteration
+    error history (length iters + 1, starting at the initial estimate).
 
-    Layout: ``mag`` is (F, T), but every spectrum and intermediate is kept
-    in the C-contiguous (T, F) layout that ``rfft`` produces and ``irfft``
-    consumes along axis 1, so no transform or elementwise pass reads a
-    strided array, and the elementwise passes write into preallocated
-    buffers.  The waveform is bit-identical to the same formulas run in the
-    (F, T) layout.  So is the error history for a ``mag`` of >= 32768
-    values (every SSRN output of >= 64 frames); below that size numpy sums
-    an (F, T) error in (F, T) order, so its last bit may differ.
+    Layout: every spectrum and intermediate is kept in the C-contiguous
+    (T, F) layout that ``rfft`` produces and ``irfft`` consumes along axis
+    1, and the passes write into preallocated buffers; three spectrum
+    buffers rotate through the current, previous and candidate spectra.
+    The waveform is bit-identical to the same formulas run in the (F, T)
+    layout.  So is the error history for a ``mag`` of >= 32768 values
+    (every SSRN output of >= 64 frames); below that size numpy sums an
+    (F, T) error in (F, T) order, so its last bit may differ.
+
+    Threads: the T frames are cut into blocks of ``_GL_BLOCK`` rows.  Each
+    synthesis pass (momentum extrapolation, projection, ``irfft``, window)
+    and each analysis pass (framing, window, ``rfft``, ``|spec| - mag``)
+    runs block by block on a thread pool as wide as the CPUs the process
+    may use (inline with one); numpy releases the GIL inside ufunc loops
+    and its FFTs.  The overlap-add, the division by the window norm and
+    the error norm run serially over the whole arrays once the blocks
+    join.  Every block applies the same per-element operations and the
+    same per-row transforms to its rows, and every reduction still spans
+    the whole array, so the result does not depend on the block size or
+    the worker count, bit for bit.  No thread outlives the call.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     _check_stft_args(win, hop)
     mag = np.asarray(mag, dtype=np.float64)
+    if mag.ndim != 2 or mag.shape[0] != win // 2 + 1:
+        raise ValueError(
+            f"mag must be ({win // 2 + 1}, T) for win={win}, got shape {mag.shape}"
+        )
     if np.any(mag < 0) or not np.all(np.isfinite(mag)):
         raise ValueError("magnitudes must be finite and non-negative")
     t_frames = mag.shape[1]
@@ -233,55 +266,74 @@ def griffin_lim(
     frames = np.empty((t_frames, win))  # windowed frames, both directions
     real = np.empty(mag_tf.shape)  # |spec| and its variants
     work = np.empty(mag_tf.shape, dtype=np.complex128)  # projected spectrum
+    specs = [np.empty(mag_tf.shape, dtype=np.complex128) for _ in range(3)]
+    blocks = [
+        slice(i, min(i + _GL_BLOCK, t_frames)) for i in range(0, t_frames, _GL_BLOCK)
+    ]
 
-    def analyze(x: np.ndarray) -> np.ndarray:
-        np.multiply(_frames(x, win, hop), window, out=frames)
-        return np.fft.rfft(frames, axis=1)  # (T, F)
+    def synthesize_rows(rows: slice, spec: np.ndarray, prev) -> None:
+        """Rows of ``frames`` from mag * (s / max(|s|, 1e-12)), where s is
+        ``spec``, or ``spec + momentum * (spec - prev)`` given ``prev``.
+        The divide stays complex by real: numpy computes it as a multiply
+        by the reciprocal, so dividing a real view of s changes bits."""
+        w, r, f, s = work[rows], real[rows], frames[rows], spec[rows]
+        if prev is not None:
+            np.subtract(s, prev[rows], out=w)
+            np.multiply(momentum, w, out=w)
+            s = np.add(s, w, out=w)
+        np.abs(s, out=r)
+        np.maximum(r, 1e-12, out=r)
+        np.divide(s, r, out=w)
+        np.multiply(mag_tf[rows], w, out=w)
+        np.fft.irfft(w, n=win, axis=1, out=f)
+        np.multiply(f, window, out=f)
 
-    def synthesize(spec: np.ndarray) -> np.ndarray:
-        np.fft.irfft(spec, n=win, axis=1, out=frames)
-        np.multiply(frames, window, out=frames)
-        x = _overlap_add(frames, hop)
-        x /= norm
-        return x
+    def analyze_rows(rows: slice, x: np.ndarray, spec: np.ndarray) -> None:
+        """Rows of ``spec`` = rfft of the windowed frames of ``x``, and the
+        same rows of ``real`` = |spec| - mag."""
+        f, r, s = frames[rows], real[rows], spec[rows]
+        np.multiply(_frames(x, win, hop)[rows], window, out=f)
+        np.fft.rfft(f, axis=1, out=s)
+        np.abs(s, out=r)
+        np.subtract(r, mag_tf[rows], out=r)
 
-    def project(spec: np.ndarray) -> np.ndarray:
-        """mag * (spec / max(|spec|, 1e-12)) into ``work``.  The divide
-        stays complex by real: numpy computes it as a multiply by the
-        reciprocal, so dividing a real view of ``spec`` changes bits."""
-        np.abs(spec, out=real)
-        np.maximum(real, 1e-12, out=real)
-        np.divide(spec, real, out=work)
-        return np.multiply(mag_tf, work, out=work)
+    n_workers = _gl_workers(len(blocks))
+    with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+        each = map if pool is None else pool.map
 
-    def error(spec: np.ndarray) -> float:
-        """|| |spec| - mag ||_2"""
-        np.abs(spec, out=real)
-        return float(np.linalg.norm(np.subtract(real, mag_tf, out=real)))
+        def run(fn, *args) -> None:
+            # list() waits for every block and re-raises a block's error
+            list(each(lambda rows: fn(rows, *args), blocks))
 
-    rng = np.random.default_rng(seed)
-    # phases drawn in (F, T) order, as the seeded contract has them
-    phase = np.ascontiguousarray(rng.random(mag.shape).T)
-    x = synthesize(project(np.exp(2j * np.pi * phase)))
-    spec = analyze(x)
-    spec_prev = spec
-    err = error(spec)
-    errors = [err]
-    for _ in range(iters):
-        # spec + momentum * (spec - spec_prev), built up in ``work``
-        np.subtract(spec, spec_prev, out=work)
-        np.multiply(momentum, work, out=work)
-        cand = synthesize(project(np.add(spec, work, out=work)))
-        cand_spec = analyze(cand)
-        cand_err = error(cand_spec)
-        if cand_err <= err:
-            x, spec_prev, spec, err = cand, spec, cand_spec, cand_err
-        else:
-            plain = synthesize(project(spec))
-            plain_spec = analyze(plain)
-            x, spec_prev, spec = plain, spec, plain_spec
-            err = error(plain_spec)
-        errors.append(err)
+        def synthesize(spec: np.ndarray, prev=None) -> np.ndarray:
+            run(synthesize_rows, spec, prev)
+            x = _overlap_add(frames, hop)
+            x /= norm
+            return x
+
+        def analyze(x: np.ndarray, spec: np.ndarray) -> float:
+            """Fill ``spec`` from ``x``; return || |spec| - mag ||_2."""
+            run(analyze_rows, x, spec)
+            return float(np.linalg.norm(real))
+
+        rng = np.random.default_rng(seed)
+        # phases drawn in (F, T) order, as the seeded contract has them
+        phase = np.ascontiguousarray(rng.random(mag.shape).T)
+        x = synthesize(np.exp(2j * np.pi * phase))
+        spec = spec_prev = specs[0]
+        err = analyze(x, spec)
+        errors = [err]
+        for _ in range(iters):
+            free = next(b for b in specs if b is not spec and b is not spec_prev)
+            cand = synthesize(spec, spec_prev)
+            cand_err = analyze(cand, free)
+            if cand_err <= err:
+                x, spec_prev, spec, err = cand, spec, free, cand_err
+            else:
+                x = synthesize(spec)
+                err = analyze(x, free)
+                spec_prev, spec = spec, free
+            errors.append(err)
     pad = win // 2
     out = np.zeros(t_frames * hop)
     avail = x[pad : pad + t_frames * hop]

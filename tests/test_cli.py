@@ -3,6 +3,10 @@ codes, determinism and the external score-ingestion path."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,3 +523,36 @@ def test_env_seed_not_an_integer_exit_2(monkeypatch, tmp_path):
     with pytest.raises(FormatError, match="MELFORGE_SEED"):
         load_config()
     assert run_cli("eval-sv", "--protocol-dir", tmp_path / "proto") == 2
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Records the BLAS variables at the moment numpy is first imported, then
+# imports the CLI module and prints them as JSON.
+_SPY_NUMPY_IMPORT = f"""
+import json, os, sys
+seen = {{}}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{v: os.environ.get(v) for v in {BLAS_VARS!r}}})
+        return None
+sys.meta_path.insert(0, Spy())
+import melforge.cli
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_cli_pins_blas_threads_before_numpy_loads(preset):
+    """Importing the CLI sets each BLAS thread variable to 1 before numpy
+    loads, unless the environment already sets it."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(preset)
+    out = subprocess.run(
+        [sys.executable, "-c", _SPY_NUMPY_IMPORT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == {v: preset.get(v, "1") for v in BLAS_VARS}

@@ -2,6 +2,11 @@
 retrieval, filterbanks, normalization algebra, resampling, WAV and cache
 formats."""
 
+import os
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -102,6 +107,14 @@ def test_griffin_lim_rejects_bad_magnitudes():
         dsp.griffin_lim(-np.ones((513, 2)), 3)
     with pytest.raises(ValueError):
         dsp.griffin_lim(np.zeros((513, 2)), -1)
+    # the shape must be (win // 2 + 1, T); the message names both
+    for shape in [(513,), (257, 4), (1, 4), (513, 4, 1), ()]:
+        with pytest.raises(ValueError, match=rf"win=1024.*{re.escape(str(shape))}"):
+            dsp.griffin_lim(np.zeros(shape), 2)
+    with pytest.raises(ValueError, match=r"win=64.*\(513, 4\)"):
+        dsp.griffin_lim(np.zeros((513, 4)), 2, win=64, hop=16)
+    wave, errors = dsp.griffin_lim(np.zeros((513, 0)), 3, return_errors=True)
+    assert wave.samples.shape == (0,) and errors == [0.0] * 4
 
 
 def test_griffin_lim_deterministic(rng):
@@ -111,20 +124,36 @@ def test_griffin_lim_deterministic(rng):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("case", ["tone", "overshoot", "small"])
+# case -> STFT frames (or None for the tone), win, hop, momentum, whether
+# some momentum steps are rejected.  The >= 128-frame cases span several
+# Griffin-Lim work blocks: "ragged" ends in a partial block, "two_blocks"
+# fills exactly two.
+GL_ORACLE_CASES = {
+    "tone": (None, 1024, 256, 0.99, False),
+    "overshoot": (70, 1024, 256, 1.5, True),
+    "small": (17, 64, 16, 0.99, False),
+    "ragged": (300, 1024, 256, 0.99, False),
+    "two_blocks": (256, 1024, 256, 0.99, False),
+    "one_frame": (1, 1024, 256, 0.99, True),
+    "overshoot_blocks": (300, 1024, 256, 1.5, True),
+}
+
+
+@pytest.mark.parametrize("case", list(GL_ORACLE_CASES))
 def test_griffin_lim_matches_strided_layout_oracle(case, rng):
-    """The contiguous (T, F) Griffin-Lim returns the waveform of the same
-    formulas run in the (F, T) layout bit for bit, and its error history
-    too from 256 KiB of magnitudes on.  "overshoot" takes a momentum large
-    enough to reject some extrapolated steps, so the fallback runs."""
-    win, hop, momentum = 1024, 256, 0.99
-    if case == "tone":
+    """The contiguous, blocked (T, F) Griffin-Lim returns the waveform of
+    the same formulas run in the (F, T) layout bit for bit, and its error
+    history too from 256 KiB of magnitudes on.  The overshoot cases take a
+    momentum large enough to reject some extrapolated steps, so the
+    fallback runs."""
+    t_frames, win, hop, momentum, rejects = GL_ORACLE_CASES[case]
+    if t_frames is None:
         sine = 0.8 * np.sin(2 * np.pi * 440 * np.arange(70 * 256) / 22050)
         mag = np.abs(dsp.stft(dsp.Waveform(sine, 22050), win, hop))  # (513, 71)
-    elif case == "overshoot":
-        mag, momentum = rng.random((513, 70)) ** 3, 1.5
     else:
-        mag, win, hop = rng.random((33, 17)), 64, 16
+        mag = rng.random((win // 2 + 1, t_frames))
+        if momentum > 1:
+            mag = mag**3
     wave, errors = dsp.griffin_lim(
         mag, 20, win=win, hop=hop, momentum=momentum, return_errors=True
     )
@@ -136,7 +165,38 @@ def test_griffin_lim_matches_strided_layout_oracle(case, rng):
         np.testing.assert_allclose(errors, errors_o, rtol=1e-15, atol=0.0)
     else:
         assert errors == errors_o
-    assert (rejected > 0) == (case == "overshoot")
+    assert (rejected > 0) == rejects
+
+
+@pytest.mark.parametrize("momentum", [0.99, 1.5])
+def test_griffin_lim_same_bytes_for_any_worker_count(momentum, rng, monkeypatch):
+    """One worker runs the blocks inline, three share them on a pool with
+    frequent thread switches; both give the same waveform and error
+    history, and no thread outlives the call."""
+    mag = rng.random((513, 300)) ** 3
+    before = set(threading.enumerate())
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 3):
+            monkeypatch.setattr(dsp, "_gl_workers", lambda n_blocks, w=workers: w)
+            wave, errors = dsp.griffin_lim(mag, 12, momentum=momentum, return_errors=True)
+            results.append((wave.samples.tobytes(), errors))
+            assert set(threading.enumerate()) == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1]
+
+
+def test_griffin_lim_worker_count():
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    assert dsp._gl_workers(0) == 1
+    assert dsp._gl_workers(1) == 1
+    assert dsp._gl_workers(10_000) == cpus
 
 
 def test_mel_scale_value():
