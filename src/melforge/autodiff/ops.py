@@ -2,7 +2,9 @@
 
 Each primitive has a numpy forward and a VJP expressed through other
 primitives, so the backward pass can itself be traced (second-order
-gradients come for free).  The convolution family is closed under
+gradients come for free).  A primitive hands its VJP function to
+`make_op_output`, which stores it on the output node; that function object
+is the op's only identity on the tape.  The convolution family is closed under
 differentiation: the input-gradient of `conv_valid` is another
 `conv_valid` with the adjoint kernel, and the two gradients of
 `conv_weight_grad` are again `conv_valid` compositions.
@@ -14,13 +16,7 @@ import numpy as np
 import scipy.special
 
 from .. import kernels
-from .tensor import Tensor, _OPS, _VJPS, as_tensor, coerce_pair, make_op_output
-
-
-def _register(name, fn, vjp):
-    _OPS[name] = fn
-    _VJPS[name] = vjp
-    return fn
+from .tensor import Tensor, as_tensor, coerce_pair, make_op_output
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +47,7 @@ def sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = coerce_pair(a, b)
-    return make_op_output(a.data + b.data, "add", (a, b))
+    return make_op_output(a.data + b.data, _add_vjp, (a, b))
 
 
 def _add_vjp(node, g):
@@ -64,7 +60,7 @@ def _add_vjp(node, g):
 
 def sub(a, b) -> Tensor:
     a, b = coerce_pair(a, b)
-    return make_op_output(a.data - b.data, "sub", (a, b))
+    return make_op_output(a.data - b.data, _sub_vjp, (a, b))
 
 
 def _sub_vjp(node, g):
@@ -77,7 +73,7 @@ def _sub_vjp(node, g):
 
 def mul(a, b) -> Tensor:
     a, b = coerce_pair(a, b)
-    return make_op_output(a.data * b.data, "mul", (a, b))
+    return make_op_output(a.data * b.data, _mul_vjp, (a, b))
 
 
 def _mul_vjp(node, g):
@@ -90,7 +86,7 @@ def _mul_vjp(node, g):
 
 def div(a, b) -> Tensor:
     a, b = coerce_pair(a, b)
-    return make_op_output(a.data / b.data, "div", (a, b))
+    return make_op_output(a.data / b.data, _div_vjp, (a, b))
 
 
 def _div_vjp(node, g):
@@ -104,7 +100,7 @@ def _div_vjp(node, g):
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(-a.data, "neg", (a,))
+    return make_op_output(-a.data, _neg_vjp, (a,))
 
 
 def _neg_vjp(node, g):
@@ -113,7 +109,7 @@ def _neg_vjp(node, g):
 
 def matmul(a, b) -> Tensor:
     a, b = coerce_pair(a, b)
-    return make_op_output(np.matmul(a.data, b.data), "matmul", (a, b))
+    return make_op_output(np.matmul(a.data, b.data), _matmul_vjp, (a, b))
 
 
 def _matmul_vjp(node, g):
@@ -135,7 +131,7 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
     # view, not copy: consumers never mutate op outputs
     return make_op_output(
-        np.swapaxes(a.data, ax1, ax2), "swapaxes", (a,), {"axes": (ax1, ax2)}
+        np.swapaxes(a.data, ax1, ax2), _swapaxes_vjp, (a,), {"axes": (ax1, ax2)}
     )
 
 
@@ -146,7 +142,7 @@ def _swapaxes_vjp(node, g):
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(a.data.reshape(shape), "reshape", (a,))
+    return make_op_output(a.data.reshape(shape), _reshape_vjp, (a,))
 
 
 def _reshape_vjp(node, g):
@@ -157,7 +153,7 @@ def _reshape_vjp(node, g):
 def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
     # read-only view; downstream ops only read
-    return make_op_output(np.broadcast_to(a.data, shape), "broadcast_to", (a,))
+    return make_op_output(np.broadcast_to(a.data, shape), _broadcast_to_vjp, (a,))
 
 
 def _broadcast_to_vjp(node, g):
@@ -169,13 +165,13 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     return make_op_output(
         a.data.sum(axis=axis, keepdims=keepdims),
-        "sum",
+        _tsum_vjp,
         (a,),
         {"axis": axis, "keepdims": keepdims},
     )
 
 
-def _sum_vjp(node, g):
+def _tsum_vjp(node, g):
     (a,) = node._parents
     axis, keepdims = node._ctx["axis"], node._ctx["keepdims"]
     if axis is not None and not keepdims:
@@ -205,7 +201,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     return make_op_output(
         a.data[tuple(idx)].copy(),
-        "narrow",
+        _narrow_vjp,
         (a,),
         {"axis": axis, "start": start, "length": length},
     )
@@ -228,7 +224,7 @@ def expand_slice(a, axis: int, start: int, total: int) -> Tensor:
     idx[axis] = slice(start, start + a.shape[axis])
     out[tuple(idx)] = a.data
     return make_op_output(
-        out, "expand_slice", (a,), {"axis": axis, "start": start}
+        out, _expand_slice_vjp, (a,), {"axis": axis, "start": start}
     )
 
 
@@ -242,7 +238,7 @@ def concat(tensors, axis: int) -> Tensor:
     parts = tuple(as_tensor(t) for t in tensors)
     return make_op_output(
         np.concatenate([p.data for p in parts], axis=axis),
-        "concat",
+        _concat_vjp,
         parts,
         {"axis": axis},
     )
@@ -274,7 +270,7 @@ def pad_time(a, left: int, right: int) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(np.exp(a.data), "exp", (a,))
+    return make_op_output(np.exp(a.data), _exp_vjp, (a,))
 
 
 def _exp_vjp(node, g):
@@ -283,7 +279,7 @@ def _exp_vjp(node, g):
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(np.log(a.data), "log", (a,))
+    return make_op_output(np.log(a.data), _log_vjp, (a,))
 
 
 def _log_vjp(node, g):
@@ -293,7 +289,7 @@ def _log_vjp(node, g):
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(np.sqrt(a.data), "sqrt", (a,))
+    return make_op_output(np.sqrt(a.data), _sqrt_vjp, (a,))
 
 
 def _sqrt_vjp(node, g):
@@ -302,7 +298,7 @@ def _sqrt_vjp(node, g):
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(scipy.special.expit(a.data), "sigmoid", (a,))
+    return make_op_output(scipy.special.expit(a.data), _sigmoid_vjp, (a,))
 
 
 def _sigmoid_vjp(node, g):
@@ -312,7 +308,7 @@ def _sigmoid_vjp(node, g):
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(np.tanh(a.data), "tanh", (a,))
+    return make_op_output(np.tanh(a.data), _tanh_vjp, (a,))
 
 
 def _tanh_vjp(node, g):
@@ -321,7 +317,7 @@ def _tanh_vjp(node, g):
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(np.maximum(a.data, 0), "relu", (a,), {"mask": a.data > 0})
+    return make_op_output(np.maximum(a.data, 0), _relu_vjp, (a,), {"mask": a.data > 0})
 
 
 def _relu_vjp(node, g):
@@ -331,10 +327,10 @@ def _relu_vjp(node, g):
 
 def absval(a) -> Tensor:
     a = as_tensor(a)
-    return make_op_output(np.abs(a.data), "abs", (a,), {"sign": np.sign(a.data)})
+    return make_op_output(np.abs(a.data), _absval_vjp, (a,), {"sign": np.sign(a.data)})
 
 
-def _abs_vjp(node, g):
+def _absval_vjp(node, g):
     return (mul(g, Tensor(node._ctx["sign"])),)
 
 
@@ -342,7 +338,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
     mask = (a.data > lo) & (a.data < hi)
     return make_op_output(
-        np.clip(a.data, lo, hi), "clip", (a,), {"mask": mask}
+        np.clip(a.data, lo, hi), _clip_vjp, (a,), {"mask": mask}
     )
 
 
@@ -370,7 +366,7 @@ def embedding(table, indices: np.ndarray) -> Tensor:
     table = as_tensor(table)
     idx = np.asarray(indices)
     return make_op_output(
-        table.data[idx], "embedding", (table,), {"idx": idx}
+        table.data[idx], _embedding_vjp, (table,), {"idx": idx}
     )
 
 
@@ -388,7 +384,7 @@ def scatter_rows(a, indices: np.ndarray, num_rows: int) -> Tensor:
     out = np.zeros((num_rows, e), dtype=a.dtype)
     np.add.at(out, idx.ravel(), a.data.reshape(-1, e))
     return make_op_output(
-        out, "scatter_rows", (a,), {"idx": idx, "shape": a.shape}
+        out, _scatter_rows_vjp, (a,), {"idx": idx, "shape": a.shape}
     )
 
 
@@ -409,10 +405,10 @@ def interleave_zeros(a, stride: int) -> Tensor:
     t = a.shape[-1]
     out = np.zeros(a.shape[:-1] + ((t - 1) * stride + 1,), dtype=a.dtype)
     out[..., ::stride] = a.data
-    return make_op_output(out, "interleave_zeros", (a,), {"stride": stride})
+    return make_op_output(out, _interleave_zeros_vjp, (a,), {"stride": stride})
 
 
-def _interleave_vjp(node, g):
+def _interleave_zeros_vjp(node, g):
     return (take_every(g, node._ctx["stride"]),)
 
 
@@ -422,7 +418,7 @@ def take_every(a, stride: int) -> Tensor:
         return a
     return make_op_output(
         a.data[..., ::stride].copy(),
-        "take_every",
+        _take_every_vjp,
         (a,),
         {"stride": stride, "length": a.shape[-1]},
     )
@@ -439,7 +435,7 @@ def pair_sum(a) -> Tensor:
     (..., 2T) -> (..., T).  Two strided views added, where a reduction over
     a trailing axis of length 2 runs an order of magnitude slower."""
     a = as_tensor(a)
-    return make_op_output(a.data[..., 0::2] + a.data[..., 1::2], "pair_sum", (a,))
+    return make_op_output(a.data[..., 0::2] + a.data[..., 1::2], _pair_sum_vjp, (a,))
 
 
 def _pair_sum_vjp(node, g):
@@ -449,7 +445,7 @@ def _pair_sum_vjp(node, g):
 def repeat_pairs(a) -> Tensor:
     """Each sample twice along the last axis (adjoint of pair_sum)."""
     a = as_tensor(a)
-    return make_op_output(np.repeat(a.data, 2, axis=-1), "repeat_pairs", (a,))
+    return make_op_output(np.repeat(a.data, 2, axis=-1), _repeat_pairs_vjp, (a,))
 
 
 def _repeat_pairs_vjp(node, g):
@@ -466,7 +462,7 @@ def kernel_adjoint(w) -> Tensor:
     w = as_tensor(w)
     return make_op_output(
         np.ascontiguousarray(np.swapaxes(w.data, 0, 1)[:, :, ::-1]),
-        "kernel_adjoint",
+        _kernel_adjoint_vjp,
         (w,),
     )
 
@@ -480,7 +476,7 @@ def conv_valid(x, w, dilation: int = 1) -> Tensor:
     x, w = as_tensor(x), as_tensor(w)
     return make_op_output(
         kernels.conv_valid(x.data, w.data, dilation),
-        "conv_valid",
+        _conv_valid_vjp,
         (x, w),
         {"dilation": dilation},
     )
@@ -503,7 +499,7 @@ def conv_weight_grad(x, gy, dilation: int, ksize: int) -> Tensor:
     x, gy = as_tensor(x), as_tensor(gy)
     return make_op_output(
         kernels.conv_weight_grad(x.data, gy.data, dilation, ksize),
-        "conv_weight_grad",
+        _conv_weight_grad_vjp,
         (x, gy),
         {"dilation": dilation, "ksize": ksize},
     )
@@ -519,37 +515,3 @@ def _conv_weight_grad_vjp(node, g):
         ggy = conv_valid(x, g, d)
     return (gx, ggy)
 
-
-for _name, _fn, _vjp in [
-    ("add", add, _add_vjp),
-    ("sub", sub, _sub_vjp),
-    ("mul", mul, _mul_vjp),
-    ("div", div, _div_vjp),
-    ("neg", neg, _neg_vjp),
-    ("matmul", matmul, _matmul_vjp),
-    ("swapaxes", swapaxes, _swapaxes_vjp),
-    ("reshape", reshape, _reshape_vjp),
-    ("broadcast_to", broadcast_to, _broadcast_to_vjp),
-    ("sum", tsum, _sum_vjp),
-    ("narrow", narrow, _narrow_vjp),
-    ("expand_slice", expand_slice, _expand_slice_vjp),
-    ("concat", concat, _concat_vjp),
-    ("exp", exp, _exp_vjp),
-    ("log", log, _log_vjp),
-    ("sqrt", sqrt, _sqrt_vjp),
-    ("sigmoid", sigmoid, _sigmoid_vjp),
-    ("tanh", tanh, _tanh_vjp),
-    ("relu", relu, _relu_vjp),
-    ("abs", absval, _abs_vjp),
-    ("clip", clip, _clip_vjp),
-    ("embedding", embedding, _embedding_vjp),
-    ("scatter_rows", scatter_rows, _scatter_rows_vjp),
-    ("interleave_zeros", interleave_zeros, _interleave_vjp),
-    ("take_every", take_every, _take_every_vjp),
-    ("pair_sum", pair_sum, _pair_sum_vjp),
-    ("repeat_pairs", repeat_pairs, _repeat_pairs_vjp),
-    ("kernel_adjoint", kernel_adjoint, _kernel_adjoint_vjp),
-    ("conv_valid", conv_valid, _conv_valid_vjp),
-    ("conv_weight_grad", conv_weight_grad, _conv_weight_grad_vjp),
-]:
-    _register(_name, _fn, _vjp)

@@ -1,8 +1,9 @@
 """Tensor container and the reverse-mode differentiation engine.
 
-Every traced operation produces a Tensor that remembers its primitive name,
-its parent tensors and any op-specific context.  `grad`/`backward` walk that
-graph in reverse topological order exactly once per node.
+Every traced operation produces a Tensor that remembers the vector-Jacobian
+product (VJP) of its primitive, its parent tensors and any op-specific
+context.  `grad` walks that graph in reverse topological order exactly once
+per node, calling each node's VJP with the node and its output gradient.
 
 Vector-Jacobian products are themselves built from traced primitives, so
 running the engine with ``create_graph=True`` records the backward
@@ -59,7 +60,7 @@ def using_dtype(dtype):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_ctx")
+    __slots__ = ("data", "requires_grad", "_vjp", "_parents", "_ctx")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -69,8 +70,7 @@ class Tensor:
             arr = arr.astype(_default_dtype())
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-        self._op: str | None = None
+        self._vjp: Callable | None = None
         self._parents: tuple[Tensor, ...] | None = None
         self._ctx: dict | None = None
 
@@ -88,53 +88,9 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # -- operator sugar (wired up by ops.py) --------------------------------
-
-    def __add__(self, other):
-        return _OPS["add"](self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _OPS["sub"](self, other)
-
-    def __rsub__(self, other):
-        return _OPS["sub"](other, self)
-
-    def __mul__(self, other):
-        return _OPS["mul"](self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _OPS["div"](self, other)
-
-    def __rtruediv__(self, other):
-        return _OPS["div"](other, self)
-
-    def __neg__(self):
-        return _OPS["neg"](self)
-
-    def __matmul__(self, other):
-        return _OPS["matmul"](self, other)
-
-
-# populated by ops.py at import time (operator sugar plus the VJP table)
-_OPS: dict[str, Callable] = {}
-_VJPS: dict[str, Callable] = {}
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -162,15 +118,18 @@ def coerce_pair(a, b) -> tuple[Tensor, Tensor]:
 
 def make_op_output(
     data: np.ndarray,
-    op: str,
+    vjp: Callable,
     parents: tuple[Tensor, ...],
     ctx: dict | None = None,
 ) -> Tensor:
-    """Wrap an op result, recording the node when tracing is active."""
+    """Wrap an op result, recording the node when tracing is active.
+
+    ``vjp(node, g)`` returns one gradient (or None) per parent; it is the
+    primitive's identity on the tape."""
     out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._op = op
+        out._vjp = vjp
         out._parents = parents
         out._ctx = ctx
     return out
@@ -187,7 +146,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         if idx < len(parents):
             stack[-1] = (node, idx + 1)
             p = parents[idx]
-            if p._op is not None and id(p) not in seen:
+            if p._vjp is not None and id(p) not in seen:
                 seen.add(id(p))
                 stack.append((p, 0))
         else:
@@ -203,7 +162,8 @@ def _run_backward(
     any interior node whose id is in ``keep``."""
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    add_op = _OPS["add"]
+    from .ops import add
+
     seed = Tensor(np.ones_like(loss.data))
     grads: dict[int, tuple[Tensor, Tensor]] = {id(loss): (loss, seed)}
     order = _topo_order(loss)
@@ -215,12 +175,12 @@ def _run_backward(
             if id(node) not in keep:
                 del grads[id(node)]
             g = entry[1]
-            pgrads = _VJPS[node._op](node, g)
+            pgrads = node._vjp(node, g)
             for p, pg in zip(node._parents, pgrads):
                 if pg is None or not p.requires_grad:
                     continue
                 acc = grads.get(id(p))
-                grads[id(p)] = (p, pg) if acc is None else (p, add_op(acc[1], pg))
+                grads[id(p)] = (p, pg) if acc is None else (p, add(acc[1], pg))
     return grads
 
 
@@ -232,8 +192,8 @@ def grad(
     """Gradients of a scalar loss with respect to ``wrt`` tensors.
 
     With ``create_graph=True`` the returned gradients are themselves traced
-    tensors, so a further ``grad``/``backward`` call differentiates through
-    them (second-order gradients).
+    tensors, so a further ``grad`` call differentiates through them
+    (second-order gradients).
     """
     keep = frozenset(id(t) for t in wrt)
     grads = _run_backward(loss, create_graph, keep)
@@ -243,13 +203,3 @@ def grad(
         out.append(Tensor(np.zeros_like(t.data)) if entry is None else entry[1])
     return out
 
-
-def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` (accumulating) on every reachable leaf tensor."""
-    grads = _run_backward(loss, create_graph=False, keep=frozenset())
-    for t, g in grads.values():
-        if t._op is None and t.requires_grad:
-            if t.grad is None:
-                t.grad = g.data.copy()
-            else:
-                t.grad += g.data

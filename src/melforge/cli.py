@@ -196,7 +196,7 @@ def cmd_synth(args) -> int:
         max_frames=args.max_frames,
     )
     clock.append(time.perf_counter())
-    lin = model.ssrn_forward(dmel, _params_from(ssrn_ck.params), mcfg).data
+    lin = model.ssrn_forward(dmel[None], _params_from(ssrn_ck.params), mcfg).data[0]
     clock.append(time.perf_counter())
     mag = dsp.denormalize_db(lin, run_cfg.dsp.ref_lin, run_cfg.dsp.gl_sharpen)
     wave = dsp.griffin_lim(

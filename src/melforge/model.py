@@ -18,8 +18,10 @@ Layout: activations are (B, C, T), text indices (B, N); ``attend``,
 ``t2m_teacher_forced`` and ``discriminator_forward`` refuse anything else
 with a ``ValueError``.  Only ``tenc_forward``, ``asenc_forward``,
 ``adec_forward`` and ``ssrn_forward`` also take one unbatched utterance
-((N,) text, (C, T) frames, (S,) speaker), run as a batch of one; that form
-survives only for the ``perfbench`` synth workload (``wl_synth.py``).
+((N,) text, (C, T) frames, (S,) speaker), run as a batch of one.  Callers
+in this package pass batches (``t2m_generate`` and ``cli`` a batch of one);
+the unbatched form's one remaining caller is the ``perfbench`` synth
+workload (``wl_synth.py``).
 
 Decoding (``t2m_generate``) runs the causal audio encoder and decoder in
 step mode: a tape-free numpy path over the same parameter arrays in which
@@ -485,8 +487,8 @@ def t2m_generate(
         )
     dt = params["adec.out.w"].data.dtype
     with ad.no_grad():
-        k, v = tenc_forward(idx, params, cfg)
-    k_np, v_np = k.data, v.data  # (d, N)
+        k, v = tenc_forward(idx[None], params, cfg)
+    k_np, v_np = k.data[0], v.data[0]  # (d, N)
     d = k_np.shape[0]
     dec = _StepDecoder(params, spk_vec.reshape(-1).astype(dt), max_frames)
     mel = np.zeros((cfg.n_mels, max_frames), dtype=dt)

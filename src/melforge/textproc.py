@@ -20,7 +20,7 @@ class CharVocab:
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if self.chars[0] != PAD_CHAR:
+        if not self.chars.startswith(PAD_CHAR):
             raise ValueError("vocabulary must start with the padding character")
         if len(set(self.chars)) != len(self.chars):
             raise ValueError("vocabulary contains duplicate characters")

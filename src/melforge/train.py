@@ -156,6 +156,17 @@ def load_checkpoint(path, expect_hash: str | None = None, force: bool = False) -
             raise FormatError(f"{path}: metadata lacks {', '.join(missing)}")
         if not isinstance(meta["model_id"], str) or meta["model_id"] not in STAGES:
             raise FormatError(f"{path}: unknown model_id {meta['model_id']!r}")
+        for key in ("iteration", "opt_t", "disc_opt_t"):
+            val = meta.get(key, 0)
+            if type(val) is not int or val < 0:  # bool is an int subclass
+                raise FormatError(f"{path}: {key} must be a non-negative integer, got {val!r}")
+        for key in ("vocab", "feature_hash"):
+            if not isinstance(meta[key], str):
+                raise FormatError(f"{path}: {key} must be a string, got {meta[key]!r}")
+        try:
+            CharVocab(meta["vocab"])
+        except ValueError as e:
+            raise FormatError(f"{path}: invalid vocab ({e})") from e
         try:
             RunConfig.from_dict(meta.get("config", {}))
         except (FormatError, CompatibilityError) as e:
@@ -319,7 +330,7 @@ def critic_update(
     d_real = disc_forward(Tensor(real))
     d_fake = disc_forward(Tensor(fake))
     d_hat = disc_forward(x_hat)
-    (grads_hat,) = ad.backward_differentiable(ad.tsum(d_hat), [x_hat])
+    (grads_hat,) = ad.grad(ad.tsum(d_hat), [x_hat], create_graph=True)
     loss = losses.wgan_critic_loss(d_real, d_fake, grads_hat, gp_weight)
     names = list(disc_params)
     gs = ad.grad(loss, [disc_params[n] for n in names])

@@ -152,7 +152,7 @@ def test_acceptance_gradient_suite():
         def penalty(params_dict):
             xt = Tensor(x0.copy(), requires_grad=True)
             s = ad.tsum(model.discriminator_forward(xt, dc, params_dict))
-            (gx,) = ad.backward_differentiable(s, [xt])
+            (gx,) = ad.grad(s, [xt], create_graph=True)
             sq = ad.tsum(ops.reshape(ops.mul(gx, gx), (2, -1)), axis=1)
             gap = ops.sub(ops.sqrt(sq), 1.0)
             return ad.mean(ops.mul(gap, gap))

@@ -2,6 +2,8 @@
 every layer, adjointness of the convolution pair, second-order gradients,
 and optimizer behavior."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -62,19 +64,19 @@ def test_matmul_softmax_gradients(dtype, eps, tol, rng):
 
 def test_simple_closed_forms():
     x = Tensor(np.array(3.0), requires_grad=True)
-    ad.backward(ops.mul(x, x))
-    assert x.grad == pytest.approx(6.0)
+    (gx,) = ad.grad(ops.mul(x, x), [x])
+    assert gx.data == pytest.approx(6.0)
 
     c = Tensor(np.array(5.0), requires_grad=True)
-    ad.backward(ops.mul(c, 0.0))
-    assert c.grad == pytest.approx(0.0)
+    (gc,) = ad.grad(ops.mul(c, 0.0), [c])
+    assert gc.data == pytest.approx(0.0)
 
 
 def test_grad_accumulates_over_reuse():
     x = Tensor(np.array(2.0), requires_grad=True)
     loss = ops.add(ops.mul(x, x), ops.mul(x, 3.0))  # x^2 + 3x
-    ad.backward(loss)
-    assert x.grad == pytest.approx(7.0)
+    (gx,) = ad.grad(loss, [x])
+    assert gx.data == pytest.approx(7.0)
 
 
 @pytest.mark.parametrize("dilation,causal", [(1, False), (2, True), (3, False), (2, False)])
@@ -233,7 +235,7 @@ def test_second_order_conv_penalty_matches_nested_fd(rng):
             wt = Tensor(wdata, requires_grad=True)
             y = nn.conv1d(xt, wt, dilation=1, causal=False)
             s = ad.tsum(ops.sigmoid(y))
-            (gx,) = ad.backward_differentiable(s, [xt])
+            (gx,) = ad.grad(s, [xt], create_graph=True)
             return gx, wt
 
         gx, wt = input_grad(w0)
@@ -281,7 +283,7 @@ def test_pair_sum_second_order_penalty_matches_nested_fd(rng):
             xt = Tensor(x0, requires_grad=True)
             wt = Tensor(wdata, requires_grad=True)
             s = ad.tsum(ops.sigmoid(ops.pair_sum(ops.mul(xt, wt))))
-            (gx,) = ad.backward_differentiable(s, [xt])
+            (gx,) = ad.grad(s, [xt], create_graph=True)
             return gx, wt
 
         gx, wt = input_grad(w0)
@@ -295,14 +297,104 @@ def test_pair_sum_second_order_penalty_matches_nested_fd(rng):
         assert max_rel_err(gw.data, fd) <= 1e-5
 
 
+# Values at least 0.05 away from the kinks of relu/absval (0) and of
+# clip(-0.5, 0.5), with entries on both sides of each.
+_KINKED = np.array([[-0.9, -0.3, 0.2, 0.7], [0.45, -0.45, 1.2, -0.15]])
+_IDX = np.array([[1, 3], [3, 0], [6, 6]])
+
+# name -> (forward over the input tensors, one shape or array per input).
+# Every input is differentiated; a shape draws standard normals, an array is
+# used as given.
+_PRIMITIVE_ROWS = {
+    "add": (lambda a, b: ops.add(a, b), [(3, 4), (4,)]),
+    "sub": (lambda a, b: ops.sub(a, b), [(3, 4), (3, 1)]),
+    "mul": (lambda a, b: ops.mul(a, b), [(3, 4), (1, 4)]),
+    "div": (lambda a, b: ops.div(a, ops.add(ops.mul(b, b), 0.5)), [(3, 4), (3, 4)]),
+    "neg": (lambda a: ops.neg(a), [(3, 4)]),
+    "matmul": (lambda a, b: ops.matmul(a, b), [(2, 3, 4), (4, 5)]),
+    "swapaxes": (lambda a: ops.swapaxes(a, 0, 2), [(2, 3, 4)]),
+    "reshape": (lambda a: ops.reshape(a, (4, 6)), [(2, 3, 4)]),
+    "broadcast_to": (lambda a: ops.broadcast_to(a, (2, 3, 4)), [(3, 1)]),
+    "sum_to": (lambda a: ops.sum_to(a, (3, 1)), [(2, 3, 4)]),
+    "tsum": (lambda a: ops.tsum(a, axis=(0, 2)), [(2, 3, 4)]),
+    "mean": (lambda a: ops.mean(a, axis=1, keepdims=True), [(2, 3, 4)]),
+    "narrow": (lambda a: ops.narrow(a, 1, 1, 3), [(2, 5, 3)]),
+    "expand_slice": (lambda a: ops.expand_slice(a, 1, 2, 6), [(2, 3)]),
+    "concat": (lambda a, b: ops.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "pad_time": (lambda a: ops.pad_time(a, 2, 1), [(2, 3, 4)]),
+    "exp": (lambda a: ops.exp(a), [(3, 4)]),
+    "log": (lambda a: ops.log(ops.add(ops.mul(a, a), 0.5)), [(3, 4)]),
+    "sqrt": (lambda a: ops.sqrt(ops.add(ops.mul(a, a), 0.5)), [(3, 4)]),
+    "sigmoid": (lambda a: ops.sigmoid(a), [(3, 4)]),
+    "tanh": (lambda a: ops.tanh(a), [(3, 4)]),
+    "relu": (lambda a: ops.relu(a), [_KINKED]),
+    "absval": (lambda a: ops.absval(a), [_KINKED]),
+    "clip": (lambda a: ops.clip(a, -0.5, 0.5), [_KINKED]),
+    "softmax": (lambda a: ops.softmax(a, axis=1), [(2, 3, 4)]),
+    "embedding": (lambda t: ops.embedding(t, _IDX), [(7, 4)]),
+    "scatter_rows": (lambda a: ops.scatter_rows(a, _IDX, 7), [(3, 2, 4)]),
+    "interleave_zeros": (lambda a: ops.interleave_zeros(a, 3), [(2, 3, 4)]),
+    "take_every": (lambda a: ops.take_every(a, 3), [(2, 3, 8)]),
+    "pair_sum": (lambda a: ops.pair_sum(a), [(2, 3, 6)]),
+    "repeat_pairs": (lambda a: ops.repeat_pairs(a), [(2, 3, 3)]),
+    "kernel_adjoint": (lambda w: ops.kernel_adjoint(w), [(3, 2, 4)]),
+    "conv_valid": (lambda x, w: ops.conv_valid(x, w, 2), [(2, 3, 9), (4, 3, 3)]),
+    "conv_weight_grad": (
+        lambda x, gy: ops.conv_weight_grad(x, gy, 2, 3), [(2, 3, 9), (2, 4, 5)]
+    ),
+}
+
+
+def _public_functions(module):
+    return {
+        name: fn
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
+    }
+
+
+def test_primitive_table_covers_every_recording_function():
+    recording = {
+        name for name, fn in _public_functions(ops).items()
+        if "make_op_output" in fn.__code__.co_names
+    }
+    assert recording <= set(_PRIMITIVE_ROWS), sorted(recording - set(_PRIMITIVE_ROWS))
+    assert set(_PRIMITIVE_ROWS) <= set(_public_functions(ops))
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVE_ROWS))
+def test_primitive_gradient(name):
+    """Each public primitive's recorded VJP against float64 central
+    differences of a random projection of its output.  A primitive that
+    records another primitive's VJP, or none, fails here."""
+    fn, inputs = _PRIMITIVE_ROWS[name]
+    rng = np.random.default_rng(sum(name.encode()))
+    arrays = [
+        np.array(x, dtype=np.float64) if isinstance(x, np.ndarray) else rng.standard_normal(x)
+        for x in inputs
+    ]
+    with ad.using_dtype(np.float64):
+        with ad.no_grad():
+            proj = rng.standard_normal(fn(*[Tensor(a) for a in arrays]).shape)
+        _check_grads(lambda ts: ad.tsum(ops.mul(fn(*ts), proj)), arrays, 1e-6, 1e-7)
+
+
+def test_exports_resolve_and_cover_every_primitive():
+    assert len(set(ad.__all__)) == len(ad.__all__)
+    unresolved = [name for name in ad.__all__ if not hasattr(ad, name)]
+    assert not unresolved
+    unexported = set(_public_functions(ops)) - set(ad.__all__)
+    assert not unexported, sorted(unexported)
+
+
 def test_backward_determinism(rng):
     x = rng.standard_normal((3, 4)).astype(np.float32)
 
     def run():
         t = Tensor(x.copy(), requires_grad=True)
         y = ops.sigmoid(ops.matmul(t, ops.swapaxes(t, 0, 1)))
-        ad.backward(ad.tsum(y))
-        return t.grad.copy()
+        (gt,) = ad.grad(ad.tsum(y), [t])
+        return gt.data.copy()
 
     np.testing.assert_array_equal(run(), run())
 
@@ -310,7 +402,7 @@ def test_backward_determinism(rng):
 def test_non_scalar_loss_rejected(rng):
     t = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
-        ad.backward(ops.mul(t, t))
+        ad.grad(ops.mul(t, t), [t])
 
 
 def test_adam_first_step_and_zero_grad():

@@ -298,6 +298,23 @@ def test_doctored_checkpoint_config_exit_2_or_4(trained_dir, prepared_dir, toy_c
     assert not (tmp_path / "x.wav").exists()
 
 
+def test_train_resume_refuses_mistyped_metadata_exit_2(
+    trained_dir, prepared_dir, toy_corpus, tmp_path
+):
+    ck = train.load_checkpoint(trained_dir / "t2m_latest.mfck")
+    ck.iteration = "5"
+    bad = tmp_path / "bad.mfck"
+    train.save_checkpoint(ck, bad)
+    assert run_cli(
+        "train", "t2m",
+        "--manifest", prepared_dir / "train.jsonl",
+        "--embeddings", toy_corpus / "embeddings.mfem",
+        "--out", tmp_path / "out", "--config", trained_dir / "cfg.json",
+        "--resume", bad,
+    ) == 2
+    assert not list((tmp_path / "out").glob("*.mfck"))
+
+
 def test_bad_config_file_exit_2_or_4(trained_dir, toy_corpus, tmp_path):
     text = tmp_path / "t.txt"
     text.write_text("ab.")

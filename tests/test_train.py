@@ -15,6 +15,7 @@ from melforge.autodiff import AdamState, Tensor, ops
 from melforge.config import RunConfig, TrainConfig
 from melforge.errors import CompatibilityError, FormatError
 from melforge.model import ModelConfig
+from melforge.textproc import CharVocab
 
 
 def _tiny_run_cfg(fcfg, steps=6, seed=3, **kw):
@@ -160,6 +161,42 @@ def test_checkpoint_roundtrip_and_errors(toy_samples, tmp_path):
     bad_name = tables[:6] + b"\xff" * nlen + tables[6 + nlen :]
     with pytest.raises(FormatError, match="not UTF-8"):
         train.load_checkpoint(with_meta(meta, bad_name))
+
+
+def _meta_only_checkpoint(**meta):
+    table = {"w": np.zeros((2, 3), dtype=np.float32)}
+    ck = train.Checkpoint(
+        model_id="t2m", iteration=4, params=table, disc_params=table,
+        opt={"m": table, "v": table}, opt_t=4,
+        disc_opt={"m": table, "v": table}, disc_opt_t=20,
+        vocab=CharVocab().chars, feature_hash="0123456789abcdef",
+    )
+    return replace(ck, **meta)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("iteration", "5"),
+        ("iteration", True),
+        ("opt_t", "x"),
+        ("opt_t", -1),
+        ("disc_opt_t", 2.0),
+        ("vocab", 123),
+        ("vocab", "abc"),
+        ("vocab", ""),
+        ("feature_hash", 7),
+    ],
+)
+def test_checkpoint_metadata_types_are_checked(tmp_path, key, value):
+    """A metadata field of the wrong type is refused when the checkpoint is
+    loaded, naming the field, not later inside training or synthesis."""
+    path = tmp_path / "ok.mfck"
+    train.save_checkpoint(_meta_only_checkpoint(), path)
+    assert train.load_checkpoint(path).iteration == 4
+    train.save_checkpoint(_meta_only_checkpoint(**{key: value}), path)
+    with pytest.raises(FormatError, match=key):
+        train.load_checkpoint(path)
 
 
 def test_save_checkpoint_leaves_old_file_on_crash(toy_samples, tmp_path, monkeypatch):
