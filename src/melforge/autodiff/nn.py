@@ -4,7 +4,10 @@ Layout convention: activations are (B, C, T) and nothing else; a 2-D
 input is refused with a ``ValueError``, so a missing batch axis cannot be
 mistaken for one.  Kernels are (C_out, C_in, K).  Same-length padding is
 applied here, not in the primitives.  1x1 convolutions lower to a plain
-matmul, which is faster for wide channel counts.
+matmul, which is faster for wide channel counts.  The one upsampler,
+`conv1d_transposed`, doubles the time axis: a 1x1 convolution to 2*C
+channels and a time interleave, the adjoint of a stride-2, 2-tap
+convolution; its kernel is (C_in, C_out, 2).
 """
 
 from __future__ import annotations
@@ -50,30 +53,24 @@ def conv1d(x, w, b=None, dilation: int = 1, causal: bool = False) -> Tensor:
     return y
 
 
-def conv1d_transposed(x, w, b=None, stride: int = 1) -> Tensor:
-    """Time-upsampling by ``stride``; exact adjoint of a stride-s
-    same-padded convolution.  Output length is stride * T."""
-    if stride not in (1, 2):
-        raise ValueError(f"stride must be 1 or 2, got {stride}")
+def conv1d_transposed(x, w, b=None) -> Tensor:
+    """2x time-upsampling with a (C_in, C_out, 2) kernel: output sample
+    2t+j is ``w[:, :, j].T @ x[:, :, t]``, the adjoint of a stride-2, 2-tap
+    convolution.  One matmul to 2*C_out channels over all B*T frames, then
+    a time interleave."""
     x = _batched(x)
     w = as_tensor(w)
-    if x.shape[1] != w.shape[0]:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[1]}, adjoint kernel expects {w.shape[0]}"
-        )
-    k = w.shape[2]
-    t_out = stride * x.shape[-1]
-    if k == 1 and stride == 1:
-        adj = ops.kernel_adjoint(w)
-        y = ops.matmul(ops.reshape(adj, adj.shape[:2]), x)
-    else:
-        total = k - 1  # adjoint of a dilation-1 strided conv
-        left = total // 2
-        z = ops.interleave_zeros(x, stride)
-        base = z.shape[-1] + total
-        extra = max(0, left + t_out - base)
-        z = ops.pad_time(z, total, total + extra)
-        y = ops.narrow(ops.conv_valid(z, ops.kernel_adjoint(w), 1), -1, left, t_out)
+    bsz, c_in, t = x.shape
+    if w.ndim != 3 or w.shape[0] != c_in or w.shape[2] != 2:
+        raise ValueError(f"kernel must be ({c_in}, C_out, 2), got {w.shape}")
+    c_out = w.shape[1]
+    # every frame of the batch is a column of one (C_in, B*T) matrix, and
+    # row j*C_out + o of the (2*C_out, C_in) kernel matrix is w[:, o, j]
+    cols = ops.reshape(ops.swapaxes(x, 0, 1), (c_in, bsz * t))
+    y = ops.matmul(ops.reshape(ops.swapaxes(w, 0, 2), (2 * c_out, c_in)), cols)
+    # (2, C_out, B, T) -> (B, C_out, T, 2) puts tap j of frame t at 2t+j
+    y = ops.swapaxes(ops.swapaxes(ops.reshape(y, (2, c_out, bsz, t)), 0, 2), 2, 3)
+    y = ops.reshape(y, (bsz, c_out, 2 * t))
     if b is not None:
         y = ops.add(y, ops.reshape(as_tensor(b), (1, -1, 1)))
     return y

@@ -393,41 +393,8 @@ def _scatter_rows_vjp(node, g):
 
 
 # ---------------------------------------------------------------------------
-# time interleaving (transposed convolution support)
+# adjacent-pair sums (mean pooling support)
 # ---------------------------------------------------------------------------
-
-
-def interleave_zeros(a, stride: int) -> Tensor:
-    """Insert stride-1 zeros between samples along the last axis."""
-    a = as_tensor(a)
-    if stride == 1:
-        return a
-    t = a.shape[-1]
-    out = np.zeros(a.shape[:-1] + ((t - 1) * stride + 1,), dtype=a.dtype)
-    out[..., ::stride] = a.data
-    return make_op_output(out, _interleave_zeros_vjp, (a,), {"stride": stride})
-
-
-def _interleave_zeros_vjp(node, g):
-    return (take_every(g, node._ctx["stride"]),)
-
-
-def take_every(a, stride: int) -> Tensor:
-    a = as_tensor(a)
-    if stride == 1:
-        return a
-    return make_op_output(
-        a.data[..., ::stride].copy(),
-        _take_every_vjp,
-        (a,),
-        {"stride": stride, "length": a.shape[-1]},
-    )
-
-
-def _take_every_vjp(node, g):
-    stride, length = node._ctx["stride"], node._ctx["length"]
-    ig = interleave_zeros(g, stride)
-    return (pad_time(ig, 0, length - ig.shape[-1]),)
 
 
 def pair_sum(a) -> Tensor:

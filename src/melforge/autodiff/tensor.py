@@ -162,6 +162,8 @@ def _run_backward(
     any interior node whose id is in ``keep``."""
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
+    if loss._vjp is None:
+        raise ValueError("loss was not recorded on the tape (leaf, constant or no_grad)")
     from .ops import add
 
     seed = Tensor(np.ones_like(loss.data))

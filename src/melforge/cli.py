@@ -322,6 +322,12 @@ def _wav_list(path_or_dir) -> list[Path]:
 
 
 def _lfcc_backend(real_files, synth_files, args):
+    k = args.gmm_components
+    if k < 1:
+        raise CorpusError(f"--gmm-components must be >= 1, got {k}")
+    if args.gmm_iters < 1:
+        raise CorpusError(f"--gmm-iters must be >= 1, got {args.gmm_iters}")
+
     def feats(files):
         per_utt = []
         for f in files:
@@ -330,12 +336,15 @@ def _lfcc_backend(real_files, synth_files, args):
         return per_utt
 
     real_feats, synth_feats = feats(real_files), feats(synth_files)
-    gmm_real, _ = ev.gmm_fit_em(
-        np.vstack(real_feats), args.gmm_components, iters=args.gmm_iters, seed=args.seed or 0
-    )
-    gmm_synth, _ = ev.gmm_fit_em(
-        np.vstack(synth_feats), args.gmm_components, iters=args.gmm_iters, seed=args.seed or 0
-    )
+    gmms = []
+    for label, per_utt in (("real", real_feats), ("synthetic", synth_feats)):
+        frames = np.vstack(per_utt)
+        if len(frames) < k:
+            raise CorpusError(
+                f"--gmm-components {k} exceeds the {len(frames)} LFCC frames of the {label} set"
+            )
+        gmms.append(ev.gmm_fit_em(frames, k, iters=args.gmm_iters, seed=args.seed or 0)[0])
+    gmm_real, gmm_synth = gmms
     real_scores = [ev.antispoof_score(x, gmm_real, gmm_synth) for x in real_feats]
     synth_scores = [ev.antispoof_score(x, gmm_real, gmm_synth) for x in synth_feats]
     return real_scores, synth_scores

@@ -155,6 +155,13 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return blocks.reshape(-1)[: (n_frames - 1) * hop + win]
 
 
+def _window_norm(window: np.ndarray, n_frames: int, hop: int) -> np.ndarray:
+    """Overlap-add of the squared window over ``n_frames`` frames, floored
+    at 1e-12: the divisor of a least-squares overlap-add inverse."""
+    squared = np.broadcast_to(window * window, (n_frames, window.size))
+    return np.maximum(_overlap_add(squared, hop), 1e-12)
+
+
 def stft(wave: Waveform, win: int = 1024, hop: int = 256) -> np.ndarray:
     """Complex (win//2+1, T) grid; hann analysis window, centered frames."""
     _check_stft_args(win, hop)
@@ -182,8 +189,7 @@ def istft(
     window = np.hanning(win)
     frames = np.fft.irfft(grid.T, n=win, axis=1) * window
     out = _overlap_add(frames, hop)
-    norm = _overlap_add(np.broadcast_to(window * window, frames.shape), hop)
-    out /= np.maximum(norm, 1e-12)
+    out /= _window_norm(window, frames.shape[0], hop)
     return Waveform(out, sample_rate=sample_rate)
 
 
@@ -260,9 +266,7 @@ def griffin_lim(
     t_frames = mag.shape[1]
     mag_tf = np.ascontiguousarray(mag.T)
     window = np.hanning(win)
-    norm = np.maximum(
-        _overlap_add(np.broadcast_to(window * window, (t_frames, win)), hop), 1e-12
-    )
+    norm = _window_norm(window, t_frames, hop)
     frames = np.empty((t_frames, win))  # windowed frames, both directions
     real = np.empty(mag_tf.shape)  # |spec| and its variants
     work = np.empty(mag_tf.shape, dtype=np.complex128)  # projected spectrum

@@ -437,11 +437,14 @@ def write_curve_csv(points: list[OperatingPoint], path) -> None:
             )
 
 
+TRIAL_FIELDS = ("trial_id", "claimed_speaker", "utterance_id", "source", "is_target")
+
+
 def write_trial_csv(trials: list[Trial], path) -> None:
     """Trial list without scores; external systems fill in the score column."""
     with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(("trial_id", "claimed_speaker", "utterance_id", "source", "is_target"))
+        writer.writerow(TRIAL_FIELDS)
         for t in trials:
             writer.writerow(
                 [t.trial_id, t.claimed_speaker, t.utterance_id, t.source, int(t.is_target)]
@@ -449,17 +452,29 @@ def write_trial_csv(trials: list[Trial], path) -> None:
 
 
 def read_trial_csv(path) -> list[Trial]:
-    trials = []
+    """Trials in file order.  A missing column, a repeated trial_id, an
+    is_target other than 0/1 or a bad source raises `ProtocolError` naming
+    the file and line."""
+    trials: list[Trial] = []
+    seen: set[str] = set()
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        for row in reader:
-            trials.append(
-                Trial(
-                    trial_id=row["trial_id"],
-                    claimed_speaker=row["claimed_speaker"],
-                    utterance_id=row["utterance_id"],
-                    source=row["source"],
-                    is_target=bool(int(row["is_target"])),
-                )
+        missing = set(TRIAL_FIELDS) - set(reader.fieldnames or ())
+        if missing:
+            raise ProtocolError(
+                f"{path}, line {reader.line_num}: trial CSV missing columns {sorted(missing)}"
             )
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            trial_id, flag = row["trial_id"], row["is_target"]
+            if trial_id in seen:
+                raise ProtocolError(f"{where}: repeated trial_id {trial_id!r}")
+            if flag not in ("0", "1"):
+                raise ProtocolError(f"{where}: is_target {flag!r} is not 0 or 1")
+            fields = {k: row[k] for k in TRIAL_FIELDS[:4]}
+            try:
+                trials.append(Trial(**fields, is_target=flag == "1"))
+            except ValueError as e:
+                raise ProtocolError(f"{where}: {e}") from None
+            seen.add(trial_id)
     return trials

@@ -2,9 +2,11 @@
 
 Text2Mel = text encoder (K, V) + audio/speaker encoder (Q) + attention +
 causal audio decoder predicting time-downsampled mel frames.  SSRN restores
-full time resolution and linear-frequency bins with two stride-2 transposed
-convolutions.  Critics are unbounded scalar scorers over (mel-)spectrograms;
-variants v1/v2 drop an average-pooling stage / insert an extra convolution.
+full time resolution and linear-frequency bins; it upsamples in two 2x
+stages, each a 1x1 convolution to 2C channels and a time interleave (the
+adjoint of a stride-2, 2-tap convolution).  Critics are unbounded scalar
+scorers over (mel-)spectrograms; variants v1/v2 drop an average-pooling
+stage / insert an extra convolution.
 
 Channel widths follow the usual dilated-conv TTS layout scaled by
 ``width_scale``; layer normalization precedes the hidden ReLU activations.
@@ -160,7 +162,7 @@ TENC_DILATIONS = (1, 3, 9, 27, 1, 3, 9, 27)
 ASENC_DILATIONS = (1, 3, 9, 27, 1, 3)
 ADEC_DILATIONS = (1, 3, 9, 27, 1, 1)
 SSRN_BLOCK_DILATIONS = (1, 3)
-SSRN_UPSAMPLE = 4  # the two stride-2 transposed convs of ssrn_forward
+SSRN_UPSAMPLE = 4  # two 2x stages in ssrn_forward: 1x1 conv to 2C, time interleave
 
 
 def init_t2m_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -526,7 +528,7 @@ def ssrn_forward(dmel, params, cfg: ModelConfig):
         x = _highway(params, f"ssrn.pre{i}", x, dilation=dil)
     for stage in (0, 1):
         x = nn.conv1d_transposed(
-            x, params[f"ssrn.up{stage}.w"], params[f"ssrn.up{stage}.b"], stride=2
+            x, params[f"ssrn.up{stage}.w"], params[f"ssrn.up{stage}.b"]
         )
         for i, dil in enumerate(SSRN_BLOCK_DILATIONS):
             x = _highway(params, f"ssrn.post{stage}{i}", x, dilation=dil)

@@ -67,7 +67,7 @@ def test_acceptance_gradient_suite():
         (lambda ts: ad.tsum(ops.sigmoid(nn.conv1d(ts[0], ts[1], ts[2], dilation=2, causal=True))), [x, w, b]),
         (lambda ts: ad.tsum(ops.mul(nn.highway_block(ts[0], ts[1], ts[2], dilation=3, causal=True), 1.0)), [x, hw_w, hw_b]),
         (lambda ts: ad.tsum(ops.sigmoid(nn.layer_norm(ts[0], ts[1], ts[2]))), [x, g_ln, b[:3]]),
-        (lambda ts: ad.tsum(ops.mul(nn.conv1d_transposed(ts[0], ts[1], stride=2), 0.5)), [x, wt]),
+        (lambda ts: ad.tsum(ops.mul(nn.conv1d_transposed(ts[0], ts[1]), 0.5)), [x, wt]),
     ]
     for build, params in layer_cases:
         for dtype in (np.float64, np.float32):

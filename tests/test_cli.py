@@ -430,6 +430,72 @@ def test_eval_sv_bad_scores_exit_5(prepared_dir, tmp_path, tiny_cfg_file, toy_co
         assert code == 5, name
 
 
+def _doctor_trials(lines, case):
+    """``lines`` of trials.csv with one defect; returns the new lines and
+    the (1-based) line the reader must name."""
+    header, *rows = lines
+    i = next(i for i, r in enumerate(rows) if r.endswith(",real,1"))
+    fields = rows[i].split(",")
+    if case == "repeated_id":
+        return [header, *rows[: i + 1], rows[i], *rows[i + 1 :]], i + 3
+    if case == "is_target_yes":
+        rows[i] = ",".join(fields[:-1] + ["yes"])
+    elif case == "bad_source":
+        rows[i] = ",".join(fields[:3] + ["recorded", fields[4]])
+    elif case == "missing_column":
+        return [",".join(r.split(",")[:-1]) for r in lines], 1
+    return [header, *rows], i + 2
+
+
+@pytest.mark.parametrize(
+    "case", ["repeated_id", "is_target_yes", "bad_source", "missing_column"]
+)
+def test_eval_sv_malformed_trials_exit_5(
+    case, prepared_dir, tmp_path, tiny_cfg_file, toy_corpus, capsys
+):
+    pdir = tmp_path / "proto"
+    assert run_cli(
+        "eval-sv", "--protocol-dir", pdir,
+        "--test-manifest", prepared_dir / "test.jsonl",
+        "--synth-manifest", prepared_dir / "test.jsonl",
+        "--config", tiny_cfg_file,
+        "--embeddings", toy_corpus / "embeddings.mfem",
+    ) == 0
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "enrollment.json").write_bytes((pdir / "enrollment.json").read_bytes())
+    lines, line_no = _doctor_trials((pdir / "trials.csv").read_text().splitlines(), case)
+    (bad / "trials.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run_cli(
+        "eval-sv", "--protocol-dir", bad, "--scores", pdir / "scores.csv",
+        "--config", tiny_cfg_file,
+    )
+    assert code == 5
+    assert f"trials.csv, line {line_no}:" in capsys.readouterr().err
+    assert not (bad / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--gmm-components", 0), ("--gmm-components", 100000), ("--gmm-iters", 0)],
+    ids=["no_components", "more_components_than_frames", "no_iterations"],
+)
+def test_eval_antispoof_bad_gmm_settings_exit_2(flags, toy_corpus, tmp_path, capsys):
+    args = {"--gmm-components": 2, "--gmm-iters": 3}
+    args[flags[0]] = flags[1]
+    code = run_cli(
+        "eval-antispoof",
+        "--real", toy_corpus / "spk0",
+        "--synth", toy_corpus / "spk1",
+        "--out", tmp_path / "anti",
+        *[a for kv in args.items() for a in kv],
+    )
+    assert code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "anti" / "report.json").exists()
+
+
 def test_eval_antispoof_gmm_backend(toy_corpus, tmp_path):
     out = tmp_path / "anti"
     code = run_cli(

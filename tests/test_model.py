@@ -181,7 +181,7 @@ def _two_d_calls(cfg, rng):
     dc = DiscriminatorConfig(in_channels=cfg.n_mels, channels=8)
     return {
         "conv1d": lambda: ad.conv1d(x, w),
-        "conv1d_transposed": lambda: ad.conv1d_transposed(x, w, stride=2),
+        "conv1d_transposed": lambda: ad.conv1d_transposed(x, w),
         "highway_block": lambda: ad.highway_block(x, np.concatenate([w, w]), np.zeros(8)),
         "layer_norm": lambda: ad.layer_norm(x, np.ones(4), np.zeros(4)),
         "attend": lambda: model.attend(kv, kv, q),
