@@ -81,6 +81,8 @@ def _load_cfg(args) -> RunConfig:
 
 
 def cmd_prepare(args) -> int:
+    if args.jobs < 1:
+        raise CorpusError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,6 +260,14 @@ def cmd_eval_sv(args) -> int:
         enrollment, trials = ev.build_protocol(test_man, synth_man, cfg.protocol)
         ev.write_trial_csv(trials, trials_path)
         _write_json(enroll_path, enrollment)
+    classes = {
+        "real target": [t.source == "real" and t.is_target for t in trials],
+        "real non-target": [t.source == "real" and not t.is_target for t in trials],
+        "synthetic": [t.source == "synthetic" for t in trials],
+    }
+    for name, mask in classes.items():
+        if not any(mask):
+            raise ProtocolError(f"{trials_path}: trial list has no {name} trials")
     if args.scores:
         score_map = ev.read_score_csv(args.scores)
         missing = [t.trial_id for t in trials if t.trial_id not in score_map]
@@ -278,9 +288,7 @@ def cmd_eval_sv(args) -> int:
     else:
         raise ProtocolError("provide either --embeddings or --scores")
     ev.write_score_csv(trials, scores, pdir / "scores.csv")
-    target = scores[[t.source == "real" and t.is_target for t in trials]]
-    nontarget = scores[[t.source == "real" and not t.is_target for t in trials]]
-    synth = scores[[t.source == "synthetic" for t in trials]]
+    target, nontarget, synth = (scores[mask] for mask in classes.values())
     eer, threshold = ev.compute_eer(target, nontarget)
     sr = ev.spoof_rate(synth, threshold)
     curve = ev.sr_frr_curve(target, synth, nontarget)
@@ -332,7 +340,7 @@ def _lfcc_backend(real_files, synth_files, args):
         per_utt = []
         for f in files:
             wave = dsp.read_wav(f)
-            per_utt.append(dsp.lfcc(wave).coeffs.T.astype(np.float64))  # (T, D)
+            per_utt.append(dsp.lfcc(wave).T.astype(np.float64))  # (T, D)
         return per_utt
 
     real_feats, synth_feats = feats(real_files), feats(synth_files)
@@ -378,8 +386,7 @@ def _discriminator_backend(real_files, synth_files, spec_str):
         wave = dsp.read_wav(path)
         if wave.sample_rate != run_cfg.dsp.sample_rate:
             wave = dsp.resample(wave, run_cfg.dsp.sample_rate)
-        feats = dict(zip(("lin", "mel", "dmel"), dsp.wave_to_features(wave, run_cfg.dsp)))
-        spec = feats[stage.feature].values
+        spec = dsp.wave_to_features(wave, run_cfg.dsp)[stage.feature]
         return float(model.discriminator_forward(spec[None], dcfg, params).data[0])
 
     return [score(f) for f in real_files], [score(f) for f in synth_files]

@@ -206,13 +206,12 @@ def corpus_reference_levels(
 def _extract_one(record: ManifestRecord, config: dsp.FeatureConfig, paths) -> bool:
     try:
         wave = _load_at_rate(record.wav, config.sample_rate)
-        lin, mel, dmel = dsp.wave_to_features(wave, config)
+        grids = dsp.wave_to_features(wave, config)
     except (FormatError, OSError, ValueError) as e:
         log.error("skipping %s: %s", record.wav, e)
         return False
-    dsp.write_feature_cache(lin.values, paths["lin"])
-    dsp.write_feature_cache(mel.values, paths["mel"])
-    dsp.write_feature_cache(dmel.values, paths["dmel"])
+    for kind, grid in grids.items():
+        dsp.write_feature_cache(grid, paths[kind])
     return True
 
 
@@ -244,7 +243,7 @@ def precompute_features(
     all_paths = {
         r.utterance_id: {
             kind: str(out / f"{r.utterance_id}.{kind}.mfrg")
-            for kind in ("lin", "mel", "dmel")
+            for kind in dsp.FEATURE_KINDS
         }
         for r in manifest.records
     }

@@ -4,6 +4,12 @@ STFT analysis/synthesis, Griffin-Lim phase retrieval, mel and linear-cepstral
 features, magnitude normalization, time-downsampling, polyphase resampling and
 PCM16 WAV I/O.  Everything here is a pure function over immutable inputs.
 
+Features are plain numpy arrays.  `wave_to_features` returns the three grids
+the pipeline learns, keyed by the cache kinds in `FEATURE_KINDS`: "lin", the
+(win//2+1, T) linear spectrogram SSRN predicts; "mel", the (n_mels, T) mel
+spectrogram; and "dmel", the (n_mels, ceil(T/downsample)) mel that Text2Mel
+predicts.  `lfcc` returns a (3*n_coeffs, T) array for the anti-spoofing GMM.
+
 Conventions:
   * STFT frames are centered: the signal is reflect-padded by win//2 on both
     sides, frame t starts at sample t*hop of the padded signal.
@@ -32,6 +38,9 @@ from .fileio import atomic_write
 
 LOG_FLOOR = 1e-5  # magnitude ratio floor inside log10: exactly -100 dB
 
+# the feature grids `wave_to_features` returns, one cache file each
+FEATURE_KINDS = ("lin", "mel", "dmel")
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -51,47 +60,6 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class LinearSpectrogram:
-    values: np.ndarray  # (F, T) normalized magnitudes in [0, 1]
-    hop: int
-    win: int
-    sample_rate: int
-
-    def __post_init__(self):
-        if self.values.shape[0] != self.win // 2 + 1:
-            raise ValueError(
-                f"F={self.values.shape[0]} inconsistent with win={self.win}"
-            )
-
-
-@dataclass(frozen=True)
-class MelSpectrogram:
-    values: np.ndarray  # (M, T) normalized magnitudes in [0, 1]
-
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class DownsampledMel:
-    values: np.ndarray  # (M, ceil(T / factor))
-    factor: int = 4
-
-
-@dataclass(frozen=True)
-class MelFilterbank:
-    weights: np.ndarray  # (M, F), non-negative, peak-normalized triangles
-    fmin: float
-    fmax: float
-
-
-@dataclass(frozen=True)
-class LfccFrameSequence:
-    coeffs: np.ndarray  # (D, T) static + delta + delta-delta
-
-
-@dataclass(frozen=True)
 class FeatureConfig:
     """Everything the feature chain needs; hashed into caches/checkpoints."""
 
@@ -107,10 +75,6 @@ class FeatureConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureConfig":
-        return cls(**d)
 
     def with_refs(self, ref_lin: float, ref_mel: float) -> "FeatureConfig":
         return replace(self, ref_lin=ref_lin, ref_mel=ref_mel)
@@ -376,9 +340,9 @@ def _triangle_rows(centers_hz: np.ndarray, bin_freqs: np.ndarray) -> np.ndarray:
 
 def build_mel_filterbank(
     n_mels: int = 80, n_bins: int = 513, sample_rate: int = 22050
-) -> MelFilterbank:
-    """Triangular filters with centers equally spaced on the mel scale
-    between 0 Hz and Nyquist."""
+) -> np.ndarray:
+    """(n_mels, n_bins) non-negative, peak-normalized triangular filters
+    with centers equally spaced on the mel scale between 0 Hz and Nyquist."""
     if n_mels < 1 or n_bins < 2:
         raise ValueError(f"need n_mels >= 1 and n_bins >= 2, got {n_mels}, {n_bins}")
     if n_mels > n_bins:
@@ -387,7 +351,7 @@ def build_mel_filterbank(
     centers = mel_to_hz(np.linspace(0.0, hz_to_mel(fmax), n_mels + 2))
     win = 2 * (n_bins - 1)
     bin_freqs = np.arange(n_bins) * sample_rate / win
-    return MelFilterbank(_triangle_rows(centers, bin_freqs), fmin=0.0, fmax=fmax)
+    return _triangle_rows(centers, bin_freqs)
 
 
 def normalize_db(mag: np.ndarray, ref: float) -> np.ndarray:
@@ -413,36 +377,32 @@ def downsample_frames(mel: np.ndarray, factor: int = 4) -> np.ndarray:
     return mel[:, ::factor].copy()
 
 
-def wave_to_features(
-    wave: Waveform, config: FeatureConfig
-) -> tuple[LinearSpectrogram, MelSpectrogram, DownsampledMel]:
-    """Full feature chain: normalized linear spectrogram, mel spectrogram and
-    time-downsampled mel.  The waveform must already be at the configured
+def raw_magnitudes(wave: Waveform, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (linear, mel) magnitude grids, (win//2+1, T) and
+    (n_mels, T); prepare takes the corpus reference levels from them."""
+    linmag = np.abs(stft(wave, config.win, config.hop))
+    fb = build_mel_filterbank(config.n_mels, config.win // 2 + 1, config.sample_rate)
+    return linmag, fb @ linmag
+
+
+def wave_to_features(wave: Waveform, config: FeatureConfig) -> dict[str, np.ndarray]:
+    """Full feature chain: float32 grids in [0, 1] keyed by `FEATURE_KINDS`,
+    the `raw_magnitudes` normalized against the config's reference levels.
+    "lin" is (win//2+1, T), "mel" (n_mels, T) and "dmel" (n_mels,
+    ceil(T/downsample)).  The waveform must already be at the configured
     sample rate."""
     if wave.sample_rate != config.sample_rate:
         raise ValueError(
             f"waveform at {wave.sample_rate} Hz, expected {config.sample_rate};"
             " resample first"
         )
-    linmag = np.abs(stft(wave, config.win, config.hop))
-    fb = build_mel_filterbank(config.n_mels, config.win // 2 + 1, config.sample_rate)
-    melmag = fb.weights @ linmag
-    lin = normalize_db(linmag, config.ref_lin).astype(np.float32)
+    linmag, melmag = raw_magnitudes(wave, config)
     mel = normalize_db(melmag, config.ref_mel).astype(np.float32)
-    dmel = downsample_frames(mel, config.downsample)
-    return (
-        LinearSpectrogram(lin, config.hop, config.win, config.sample_rate),
-        MelSpectrogram(mel),
-        DownsampledMel(dmel, config.downsample),
-    )
-
-
-def raw_magnitudes(wave: Waveform, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (linear, mel) magnitude grids; used by prepare to find
-    the corpus reference levels."""
-    linmag = np.abs(stft(wave, config.win, config.hop))
-    fb = build_mel_filterbank(config.n_mels, config.win // 2 + 1, config.sample_rate)
-    return linmag, fb.weights @ linmag
+    return {
+        "lin": normalize_db(linmag, config.ref_lin).astype(np.float32),
+        "mel": mel,
+        "dmel": downsample_frames(mel, config.downsample),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +421,13 @@ def lfcc(
     n_filters: int = 20,
     win_ms: float = 30.0,
     hop_ms: float = 15.0,
-) -> LfccFrameSequence:
+) -> np.ndarray:
     """Linear-frequency cepstral coefficients with delta and delta-delta.
 
     30 ms / 15 ms framing, linear-spaced triangular filters over log
-    energies, orthonormal DCT-II keeping ``n_coeffs`` statics (incl. c0);
-    output dimension is 3 * n_coeffs.
+    energies, orthonormal DCT-II keeping ``n_coeffs`` statics (incl. c0).
+    Returns a float32 (3 * n_coeffs, T) array: statics, deltas, then
+    delta-deltas.
     """
     sr = wave.sample_rate
     win = max(int(round(win_ms * sr / 1000.0)), 2)
@@ -480,9 +441,7 @@ def lfcc(
     energies = np.log(fb @ spec.T + 1e-10)
     static = dct_ii_ortho(energies, axis=0)[:n_coeffs]
     delta = _delta(static)
-    return LfccFrameSequence(
-        np.vstack([static, delta, _delta(delta)]).astype(np.float32)
-    )
+    return np.vstack([static, delta, _delta(delta)]).astype(np.float32)
 
 
 def _delta(c: np.ndarray) -> np.ndarray:

@@ -401,8 +401,8 @@ def write_score_csv(trials: list[Trial], scores, path) -> None:
 
 
 def read_score_csv(path) -> dict[str, float]:
-    """trial_id -> score; every score must be finite and every trial_id
-    unique."""
+    """trial_id -> score.  A repeated trial_id, or a score missing (short
+    row) or not finite, raises `ProtocolError` naming the file and line."""
     out: dict[str, float] = {}
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
@@ -417,7 +417,7 @@ def read_score_csv(path) -> dict[str, float]:
                 )
             try:
                 score = float(text)
-            except ValueError:
+            except (TypeError, ValueError):  # TypeError: short row, text is None
                 score = None
             if score is None or not np.isfinite(score):
                 raise ProtocolError(

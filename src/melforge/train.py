@@ -352,6 +352,9 @@ def generator_update(
     gen_params: dict[str, Tensor],
     opt: AdamState,
 ) -> dict[str, float]:
+    for name, loss in (("reconstruction", loss_recon), ("adversarial", loss_gan)):
+        if loss is not None and not np.isfinite(loss.data):
+            raise TrainingAborted(f"non-finite {name} loss {float(loss.data)}")
     if loss_gan is None:
         total = loss_recon
         stats = None
@@ -501,6 +504,15 @@ def train_stage(
         raise CompatibilityError(
             f"model.downsample {mcfg.downsample} and dsp.downsample {run_cfg.dsp.downsample}"
             f" must both be {model.SSRN_UPSAMPLE}, the factor SSRN restores"
+        )
+    if mcfg.n_mels != run_cfg.dsp.n_mels:
+        raise CompatibilityError(
+            f"model.n_mels {mcfg.n_mels} differs from dsp.n_mels {run_cfg.dsp.n_mels}"
+        )
+    if mcfg.n_bins != run_cfg.dsp.win // 2 + 1:
+        raise CompatibilityError(
+            f"model.n_bins {mcfg.n_bins} differs from dsp.win // 2 + 1"
+            f" = {run_cfg.dsp.win // 2 + 1}"
         )
     vocab = vocab or CharVocab()
     rng = np.random.default_rng(tcfg.seed)

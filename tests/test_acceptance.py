@@ -546,15 +546,15 @@ def test_acceptance_end_to_end_toy(tmp_path):
         "--out", str(wav_out), "--attention", str(tmp_path / "att.csv"),
     ]) == 0
 
-    fcfg = dsp.FeatureConfig.from_dict(merged["dsp"])
-    _, mel_syn, _ = dsp.wave_to_features(dsp.read_wav(wav_out), fcfg)
+    fcfg = dsp.FeatureConfig(**merged["dsp"])
+    mel_syn = dsp.wave_to_features(dsp.read_wav(wav_out), fcfg)["mel"]
     gt_wav = dsp.read_wav(root / "spk0" / "spk0_000.wav")
-    _, mel_gt, _ = dsp.wave_to_features(gt_wav, fcfg)
-    t_gt = mel_gt.values.shape[1]
-    syn = np.zeros_like(mel_gt.values)
-    take = min(t_gt, mel_syn.values.shape[1])
-    syn[:, :take] = mel_syn.values[:, :take]
-    mel_l1 = float(np.abs(syn - mel_gt.values).mean())
+    mel_gt = dsp.wave_to_features(gt_wav, fcfg)["mel"]
+    t_gt = mel_gt.shape[1]
+    syn = np.zeros_like(mel_gt)
+    take = min(t_gt, mel_syn.shape[1])
+    syn[:, :take] = mel_syn[:, :take]
+    mel_l1 = float(np.abs(syn - mel_gt).mean())
     assert mel_l1 < 0.15, f"mel L1 {mel_l1:.4f}"
 
     # exercise the verification protocol end to end on fixture embeddings

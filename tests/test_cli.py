@@ -75,6 +75,13 @@ def test_prepare_missing_corpus_exit_2(tmp_path):
     assert run_cli("prepare", tmp_path / "nope", tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_prepare_refuses_jobs_below_one_exit_2(toy_corpus, tmp_path, capsys, jobs):
+    assert run_cli("prepare", toy_corpus, tmp_path / "out", "--jobs", jobs) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "train.jsonl").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_dir(prepared_dir, toy_corpus, tmp_path_factory, tiny_cfg_file):
     out = tmp_path_factory.mktemp("ckpt")
@@ -128,12 +135,25 @@ def test_train_bad_embedding_key_exit_2(prepared_dir, toy_corpus, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("section,factor", [("model", 2), ("model", 8), ("dsp", 8)])
+@pytest.mark.parametrize(
+    "section,key,value,named",
+    [
+        ("model", "downsample", 2, ("model.downsample", "dsp.downsample")),
+        ("model", "downsample", 8, ("model.downsample", "dsp.downsample")),
+        ("dsp", "downsample", 8, ("model.downsample", "dsp.downsample")),
+        ("dsp", "n_mels", 40, ("model.n_mels", "dsp.n_mels")),
+        ("model", "n_bins", 257, ("model.n_bins", "dsp.win")),
+        ("dsp", "win", 512, ("model.n_bins", "dsp.win")),
+    ],
+    ids=["model-2", "model-8", "dsp-8", "dsp-n_mels", "model-n_bins", "dsp-win"],
+)
 def test_train_refuses_downsample_ssrn_cannot_restore(
-    prepared_dir, toy_corpus, tiny_cfg_file, tmp_path, section, factor
+    prepared_dir, toy_corpus, tiny_cfg_file, tmp_path, capsys, section, key, value, named
 ):
+    """Model and feature settings that disagree exit 4 before training,
+    naming both keys."""
     cfg = json.loads(tiny_cfg_file.read_text())
-    cfg.setdefault(section, {})["downsample"] = factor
+    cfg.setdefault(section, {})[key] = value
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     for m in ("t2m", "ssrn"):
         code = run_cli(
@@ -143,6 +163,8 @@ def test_train_refuses_downsample_ssrn_cannot_restore(
             "--out", tmp_path / "out", "--config", tmp_path / "cfg.json",
         )
         assert code == 4
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
     assert not list((tmp_path / "out").glob("*.mfck"))
 
 
@@ -410,7 +432,7 @@ def test_eval_sv_missing_scores_exit_5(prepared_dir, tmp_path, tiny_cfg_file, to
     assert code == 5
 
 
-def test_eval_sv_bad_scores_exit_5(prepared_dir, tmp_path, tiny_cfg_file, toy_corpus):
+def test_eval_sv_bad_scores_exit_5(prepared_dir, tmp_path, tiny_cfg_file, toy_corpus, capsys):
     pdir = tmp_path / "proto"
     assert run_cli(
         "eval-sv", "--protocol-dir", pdir,
@@ -421,34 +443,45 @@ def test_eval_sv_bad_scores_exit_5(prepared_dir, tmp_path, tiny_cfg_file, toy_co
     ) == 0
     header, first, *rest = (pdir / "scores.csv").read_text().splitlines()
     nan_row = first.rsplit(",", 1)[0] + ",nan"
-    for name, lines in (("nan", [header, nan_row, *rest]), ("dup", [header, first, first, *rest])):
+    short_row = first.rsplit(",", 1)[0]  # four of the five fields
+    for name, lines, line_no in (
+        ("nan", [header, nan_row, *rest], 2),
+        ("dup", [header, first, first, *rest], 3),
+        ("short", [header, short_row, *rest], 2),
+    ):
         path = tmp_path / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
         code = run_cli(
             "eval-sv", "--protocol-dir", pdir, "--scores", path, "--config", tiny_cfg_file,
         )
         assert code == 5, name
+        assert f"{name}.csv, line {line_no}:" in capsys.readouterr().err, name
 
 
 def _doctor_trials(lines, case):
     """``lines`` of trials.csv with one defect; returns the new lines and
-    the (1-based) line the reader must name."""
+    what the error must say: the (1-based) line the reader names, or the
+    trial class that is missing."""
     header, *rows = lines
     i = next(i for i, r in enumerate(rows) if r.endswith(",real,1"))
     fields = rows[i].split(",")
     if case == "repeated_id":
-        return [header, *rows[: i + 1], rows[i], *rows[i + 1 :]], i + 3
+        return [header, *rows[: i + 1], rows[i], *rows[i + 1 :]], f"trials.csv, line {i + 3}:"
     if case == "is_target_yes":
         rows[i] = ",".join(fields[:-1] + ["yes"])
     elif case == "bad_source":
         rows[i] = ",".join(fields[:3] + ["recorded", fields[4]])
     elif case == "missing_column":
-        return [",".join(r.split(",")[:-1]) for r in lines], 1
-    return [header, *rows], i + 2
+        return [",".join(r.split(",")[:-1]) for r in lines], "trials.csv, line 1:"
+    elif case == "no_nontarget":
+        kept = [r for r in rows if not r.endswith(",real,0")]
+        assert len(kept) < len(rows)
+        return [header, *kept], "trials.csv: trial list has no real non-target trials"
+    return [header, *rows], f"trials.csv, line {i + 2}:"
 
 
 @pytest.mark.parametrize(
-    "case", ["repeated_id", "is_target_yes", "bad_source", "missing_column"]
+    "case", ["repeated_id", "is_target_yes", "bad_source", "missing_column", "no_nontarget"]
 )
 def test_eval_sv_malformed_trials_exit_5(
     case, prepared_dir, tmp_path, tiny_cfg_file, toy_corpus, capsys
@@ -464,7 +497,7 @@ def test_eval_sv_malformed_trials_exit_5(
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "enrollment.json").write_bytes((pdir / "enrollment.json").read_bytes())
-    lines, line_no = _doctor_trials((pdir / "trials.csv").read_text().splitlines(), case)
+    lines, expected = _doctor_trials((pdir / "trials.csv").read_text().splitlines(), case)
     (bad / "trials.csv").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     code = run_cli(
@@ -472,7 +505,7 @@ def test_eval_sv_malformed_trials_exit_5(
         "--config", tiny_cfg_file,
     )
     assert code == 5
-    assert f"trials.csv, line {line_no}:" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert not (bad / "report.json").exists()
 
 

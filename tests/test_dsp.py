@@ -206,9 +206,9 @@ def test_mel_scale_value():
 
 def test_mel_filterbank_construction():
     fb = dsp.build_mel_filterbank(80, 513, 22050)
-    assert fb.weights.shape == (80, 513)
-    assert np.all(fb.weights >= 0)
-    for row in fb.weights:
+    assert fb.shape == (80, 513)
+    assert np.all(fb >= 0)
+    for row in fb:
         support = np.where(row > 0)[0]
         assert support.size >= 1
         assert np.array_equal(support, np.arange(support[0], support[-1] + 1))
@@ -219,7 +219,7 @@ def test_mel_filterbank_construction():
 def test_mel_applied_to_nonnegative_stays_nonnegative(rng):
     fb = dsp.build_mel_filterbank(80, 513, 22050)
     mags = rng.random((513, 7))
-    assert np.all(fb.weights @ mags >= 0)
+    assert np.all(fb @ mags >= 0)
 
 
 def test_normalize_db_endpoints_and_range(rng):
@@ -257,12 +257,14 @@ def test_downsample_frame_rule():
 def test_wave_to_features_shapes(rng):
     cfg = dsp.FeatureConfig()
     wave = dsp.Waveform(rng.standard_normal(22050), 22050)
-    lin, mel, dmel = dsp.wave_to_features(wave, cfg)
-    t = lin.values.shape[1]
-    assert lin.values.shape == (513, t)
-    assert mel.values.shape == (80, t)
-    assert dmel.values.shape == (80, -(-t // 4))
-    for grid in (lin.values, mel.values, dmel.values):
+    feats = dsp.wave_to_features(wave, cfg)
+    assert tuple(feats) == dsp.FEATURE_KINDS
+    t = feats["lin"].shape[1]
+    assert feats["lin"].shape == (513, t)
+    assert feats["mel"].shape == (80, t)
+    assert feats["dmel"].shape == (80, -(-t // 4))
+    for grid in feats.values():
+        assert grid.dtype == np.float32
         assert grid.min() >= 0 and grid.max() <= 1
     with pytest.raises(ValueError):
         dsp.wave_to_features(dsp.Waveform(np.zeros(100), 16000), cfg)
@@ -270,11 +272,11 @@ def test_wave_to_features_shapes(rng):
 
 def test_lfcc_dimensions_and_zero_signal():
     out = dsp.lfcc(dsp.Waveform(np.zeros(22050), 22050))
-    assert out.coeffs.shape[0] == 60
-    spread = out.coeffs.max(axis=1) - out.coeffs.min(axis=1)
+    assert out.shape[0] == 60 and out.dtype == np.float32
+    spread = out.max(axis=1) - out.min(axis=1)
     np.testing.assert_allclose(spread, 0.0, atol=1e-9)  # all frames equal
     short = dsp.lfcc(dsp.Waveform(np.zeros(10), 22050))
-    assert short.coeffs.shape[1] == 1
+    assert short.shape[1] == 1
 
 
 def test_lfcc_dct_stage_matches_naive(rng):

@@ -361,3 +361,8 @@ def test_generator_update_rejects_nonfinite():
 
     with pytest.raises(TrainingAborted):
         train.generator_update(bad, None, p, AdamState())
+    recon = ops.mean(ops.mul(p["w"], p["w"]))
+    for gan in (np.nan, np.inf):
+        with pytest.raises(TrainingAborted, match="adversarial"):
+            train.generator_update(recon, Tensor(np.array(gan)), p, AdamState())
+    np.testing.assert_array_equal(p["w"].data, np.ones(2, dtype=np.float32))
