@@ -365,6 +365,11 @@ def _discriminator_backend(real_files, synth_files, spec_str):
             f"bad backend {spec_str!r}; expected discriminator:CKPT:VARIANT"
         )
     _, ckpt_path, variant = parts
+    if variant not in model.DISC_VARIANTS:
+        raise CorpusError(
+            f"bad backend {spec_str!r}; VARIANT must be one of"
+            f" {', '.join(model.DISC_VARIANTS)}"
+        )
     ck = train.load_checkpoint(ckpt_path)
     run_cfg = RunConfig.from_dict(ck.config)
     stage = train.STAGES[ck.model_id]

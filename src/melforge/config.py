@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dsp import FeatureConfig
 from .errors import CompatibilityError, CorpusError, FormatError
-from .model import ModelConfig
+from .model import DISC_VARIANTS, ModelConfig
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class TrainConfig:
     log_every: int = 50
     gan_start_step: int = 0  # GAN terms active from this step on
     disc_channels: int = 64
-    disc_variant: str = "base"  # critic stack variant: base | v1 | v2
+    disc_variant: str = "base"  # critic stack variant, one of model.DISC_VARIANTS
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,11 @@ class RunConfig:
     def from_dict(cls, d) -> "RunConfig":
         """Missing or null sections take their defaults.
 
-        Raises FormatError when ``d`` or a section is not a JSON object or a
+        Raises FormatError when ``d`` or a section is not a JSON object, a
         value has the wrong type (an int is accepted for a float, null only
-        for an optional int, a bool never for a number), and
-        CompatibilityError naming an unknown section or key (say, one
-        written by a newer version).
+        for an optional int, a bool never for a number) or a name outside its
+        choices (``train.disc_variant``), and CompatibilityError naming an
+        unknown section or key (say, one written by a newer version).
         """
         if not isinstance(d, dict):
             raise FormatError(f"config must be a JSON object, got {type(d).__name__}")
@@ -88,6 +88,11 @@ class RunConfig:
                         f"config key {name}.{f.name} must be {f.type},"
                         f" got {values[f.name]!r}"
                     )
+            if name == "train" and values.get("disc_variant", "base") not in DISC_VARIANTS:
+                raise FormatError(
+                    "config key train.disc_variant must be one of"
+                    f" {', '.join(DISC_VARIANTS)}, got {values['disc_variant']!r}"
+                )
             built[name] = section_cls(**values)
         return cls(**built)
 

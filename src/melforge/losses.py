@@ -115,24 +115,21 @@ def recon_loss_ssrn(y: Tensor, s: Tensor, mask: np.ndarray | None = None) -> Ten
 def wgan_critic_loss(
     d_real: Tensor,
     d_fake: Tensor,
-    interp_grads: Tensor,
+    grad_sq: Tensor,
     gp_weight: float = 10.0,
 ) -> Tensor:
-    """mean(d_fake) - mean(d_real) + gp_weight * mean((||grad||_2 - 1)^2).
+    """mean(d_fake) - mean(d_real) + gp_weight * mean((sqrt(grad_sq) - 1)^2).
 
-    ``interp_grads`` holds per-sample gradients of the critic output with
-    respect to the interpolated inputs, leading axis = batch.  When those
-    gradients were produced by a recorded backward pass, this loss is
+    ``grad_sq`` holds each sample's squared norm of the critic's gradient
+    with respect to its interpolated input, shape (B,).  When those norms
+    were computed on the tape from a recorded backward pass, this loss is
     differentiable end-to-end (second-order gradients flow into the critic
     parameters).
     """
-    if interp_grads is None:
-        raise ValueError("gradient penalty requires interpolate gradients")
-    g = ad.as_tensor(interp_grads)
-    b = g.shape[0]
-    sq = ops.tsum(ops.reshape(ops.mul(g, g), (b, -1)), axis=1)
-    norms = ops.sqrt(sq)
-    gap = ops.sub(norms, 1.0)
+    sq = ad.as_tensor(grad_sq)
+    if sq.ndim != 1:
+        raise ValueError(f"gradient penalty takes (B,) squared norms, got shape {sq.shape}")
+    gap = ops.sub(ops.sqrt(sq), 1.0)
     penalty = ops.mean(ops.mul(gap, gap))
     return ops.add(
         ops.sub(ops.mean(ad.as_tensor(d_fake)), ops.mean(ad.as_tensor(d_real))),

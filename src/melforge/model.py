@@ -6,7 +6,11 @@ full time resolution and linear-frequency bins; it upsamples in two 2x
 stages, each a 1x1 convolution to 2C channels and a time interleave (the
 adjoint of a stride-2, 2-tap convolution).  Critics are unbounded scalar
 scorers over (mel-)spectrograms; variants v1/v2 drop an average-pooling
-stage / insert an extra convolution.
+stage / insert an extra convolution.  Every critic starts with a linear
+front (a 2x mean pool, then ``conv_in``'s kernel); ``critic`` bundles the
+front, the body after it and ``discriminator_grad_sq``, which gives the
+gradient penalty its input-gradient norms from the gradient at the front's
+output and the small Gram matrix of ``conv_in``'s kernel.
 
 Channel widths follow the usual dilated-conv TTS layout scaled by
 ``width_scale``; layer normalization precedes the hidden ReLU activations.
@@ -33,7 +37,9 @@ column per frame, so each frame costs the same whatever the prefix length.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special
@@ -71,6 +77,9 @@ class ModelConfig:
         return max(8, round(512 * self.width_scale))
 
 
+DISC_VARIANTS = ("base", "v1", "v2")
+
+
 @dataclass(frozen=True)
 class DiscriminatorConfig:
     """Critic stack layout. ``variant`` alters the base stack: v1 removes an
@@ -81,7 +90,7 @@ class DiscriminatorConfig:
     variant: str = "base"
 
     def __post_init__(self):
-        if self.variant not in ("base", "v1", "v2"):
+        if self.variant not in DISC_VARIANTS:
             raise ValueError(f"unknown discriminator variant {self.variant!r}")
 
     def layers(self) -> list[str]:
@@ -539,13 +548,51 @@ def ssrn_forward(dmel, params, cfg: ModelConfig):
     return y
 
 
+class Critic(NamedTuple):
+    """A critic split where the gradient penalty needs it.  ``front`` is
+    linear in its input and keeps its number of axes; ``body`` maps the front's output to (B,) scores;
+    ``grad_sq(delta, t)`` gives each sample's squared input-gradient norm
+    from ``delta``, the gradient of the summed scores at the front's
+    output, for inputs of length ``t``."""
+
+    front: Callable
+    body: Callable
+    grad_sq: Callable
+
+
+def critic(dcfg: DiscriminatorConfig, params) -> Critic:
+    """The critic of ``dcfg`` as front, body and gradient norm."""
+    return Critic(
+        front=lambda spec: discriminator_front(spec, dcfg, params),
+        body=lambda z: discriminator_body(z, dcfg, params),
+        grad_sq=lambda delta, t: discriminator_grad_sq(delta, t, params),
+    )
+
+
 def discriminator_forward(spec, dcfg: DiscriminatorConfig, params):
     """Wasserstein critic: (B, C, T) -> (B,) unbounded scores."""
+    return discriminator_body(discriminator_front(spec, dcfg, params), dcfg, params)
+
+
+_FRONT = ("pool1", "conv_in")  # the stages discriminator_front starts
+
+
+def discriminator_front(spec, dcfg: DiscriminatorConfig, params):
+    """The critic's linear front: ``pool1``, then ``conv_in``'s kernel with
+    no bias.  (B, C, T) -> (B, c, ceil(T/2))."""
     x = _batched(spec, dcfg.in_channels)
-    for layer in dcfg.layers():
-        if layer == "conv_in":
-            x = _conv(params, "disc.conv_in", x, activation=ops.relu)
-        elif layer.startswith("hw"):
+    w = params["disc.conv_in.w"]
+    return ops.matmul(ops.reshape(w, w.shape[:2]), _mean_pool2(x))
+
+
+def discriminator_body(z, dcfg: DiscriminatorConfig, params):
+    """The rest of the critic on the front's output: ``conv_in``'s bias,
+    layer norm and ReLU, then the later stages of ``dcfg.layers()``."""
+    x = ops.add(z, ops.reshape(params["disc.conv_in.b"], (1, -1, 1)))
+    x = nn.layer_norm(x, params["disc.conv_in.ln_g"], params["disc.conv_in.ln_b"])
+    x = ops.relu(x)
+    for layer in dcfg.layers()[len(_FRONT):]:
+        if layer.startswith("hw"):
             x = _highway(params, f"disc.{layer}", x, dilation=3 if layer == "hw2" else 1)
         elif layer.startswith("conv"):
             x = _conv(params, f"disc.{layer}", x, activation=ops.relu)
@@ -559,6 +606,30 @@ def discriminator_forward(spec, dcfg: DiscriminatorConfig, params):
                 ops.reshape(params["disc.head.b"], (1, 1)),
             )
     return ops.reshape(x, (x.shape[0],))
+
+
+def discriminator_grad_sq(delta, t: int, params):
+    """Each sample's squared norm of the critic's gradient with respect to
+    its (B, C, t) input, from ``delta``, the (B, c, ceil(t/2)) gradient of
+    the summed scores at the front's output.
+
+    The front is linear, so the input gradient is pool1^T W^T delta: each
+    pooled column s hands half of W^T delta_s to both of its input samples,
+    and an odd t drops the padded one.  With the c x c Gram matrix
+    G = W W^T, ||grad||^2 = 1/2 sum_s delta_s^T G delta_s, less
+    1/4 delta_last^T G delta_last when t is odd.  Taped, so the gradient
+    penalty differentiates through it.
+    """
+    if delta.ndim != 3 or delta.shape[2] != (t + 1) // 2:
+        raise ValueError(f"front gradient of shape {delta.shape} does not fit length {t}")
+    w = params["disc.conv_in.w"]
+    w2 = ops.reshape(w, w.shape[:2])
+    gram = ops.matmul(w2, ops.swapaxes(w2, 0, 1))
+    quad = ops.tsum(ops.mul(delta, ops.matmul(gram, delta)), axis=1)  # (B, ceil(t/2))
+    weights = np.full(quad.shape[1], 0.5)
+    if t % 2:
+        weights[-1] = 0.25
+    return ops.tsum(ops.mul(quad, weights), axis=1)
 
 
 def _mean_pool2(x):

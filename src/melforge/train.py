@@ -3,10 +3,21 @@
 Each outer step runs ``n_critic`` critic updates (Wasserstein loss with
 gradient penalty on interpolates between real features and teacher-forced
 predictions) followed by one generator update on the combined
-reconstruction + adversarial objective.  Everything is deterministic given
-(seed, config, data): batches, interpolation draws and parameter
-initialization all come from one seeded generator consumed in a fixed
-order.
+reconstruction + adversarial objective.  The penalty never forms the
+interpolate or its input-sized gradient: the critic's front is linear, so
+`critic_update` interpolates the front's outputs, differentiates the body
+once on the tape and takes the norms from ``model.discriminator_grad_sq``.
+Everything is deterministic given (seed, config, data): batches,
+interpolation draws and parameter initialization all come from one seeded
+generator consumed in a fixed order.
+
+The run log has one JSON line per logged step: the update counts, the
+critic's last-update statistics (``critic_critic_loss``,
+``critic_wasserstein``, ``critic_grad_norm``, ``critic_gp``; absent
+before ``gan_start_step``), the generator's losses, and the wall times
+``wall_ms`` (the whole step), ``critic_ms`` (the fake batch and the
+``n_critic`` updates) and ``generator_ms`` (the generator forward, backward
+and Adam step).
 
 Checkpoints are binary: magic "MFCK", version, a JSON metadata block, then
 a tensor table of little-endian float32 buffers (parameters and optimizer
@@ -312,37 +323,42 @@ class BatchIterator:
 def critic_update(
     real: np.ndarray,
     fake: np.ndarray,
-    disc_forward,
+    critic: model.Critic,
     disc_params: dict[str, Tensor],
     opt: AdamState,
     rng: np.random.Generator,
     gp_weight: float,
 ) -> dict[str, float]:
-    """One WGAN-GP critic step.
+    """One WGAN-GP critic step on (B, ...) real and fake batches.
 
-    ``disc_forward`` maps a (B, ...) tensor to per-sample scores.  The
-    interpolate gradients come from a recorded backward pass, so the
-    penalty's second-order gradients reach the critic parameters.
+    The critic's front is linear, so the front output of the interpolate
+    u*real + (1-u)*fake is u*z_real + (1-u)*z_fake, and the interpolate
+    itself is never formed.  A recorded backward pass through the body
+    gives delta, the gradient at that output, and ``critic.grad_sq`` turns
+    it into each sample's squared input-gradient norm (for the model's
+    critics through the Gram matrix of ``conv_in``'s kernel, never the
+    input-sized gradient).  The penalty's second-order gradients thus reach
+    every critic parameter.  Returns the loss, the Wasserstein estimate,
+    the mean gradient norm and the penalty mean((norm - 1)^2).
     """
     b = real.shape[0]
     u = rng.uniform(size=(b,) + (1,) * (real.ndim - 1)).astype(real.dtype)
-    x_hat = Tensor(u * real + (1.0 - u) * fake, requires_grad=True)
-    d_real = disc_forward(Tensor(real))
-    d_fake = disc_forward(Tensor(fake))
-    d_hat = disc_forward(x_hat)
-    (grads_hat,) = ad.grad(ad.tsum(d_hat), [x_hat], create_graph=True)
-    loss = losses.wgan_critic_loss(d_real, d_fake, grads_hat, gp_weight)
+    z_real = critic.front(Tensor(real))
+    z_fake = critic.front(Tensor(fake))
+    z_hat = ad.add(ad.mul(z_real, u), ad.mul(z_fake, 1.0 - u))
+    d_real, d_fake, d_hat = (critic.body(z) for z in (z_real, z_fake, z_hat))
+    (delta,) = ad.grad(ad.tsum(d_hat), [z_hat], create_graph=True)
+    grad_sq = critic.grad_sq(delta, real.shape[-1])
+    loss = losses.wgan_critic_loss(d_real, d_fake, grad_sq, gp_weight)
     names = list(disc_params)
     gs = ad.grad(loss, [disc_params[n] for n in names])
     adam_step(disc_params, {n: g.data for n, g in zip(names, gs)}, opt)
-    with ad.no_grad():
-        norms = np.sqrt(
-            np.sum(grads_hat.data.reshape(b, -1) ** 2, axis=1)
-        )
+    norms = np.sqrt(grad_sq.data)
     return {
         "critic_loss": float(loss.data),
         "wasserstein": float(np.mean(d_real.data) - np.mean(d_fake.data)),
         "grad_norm": float(norms.mean()),
+        "gp": float(np.mean((norms - 1.0) ** 2)),
     }
 
 
@@ -573,7 +589,7 @@ def train_stage(
             batch_queue=list(batches.queue),
         )
 
-    disc_fwd = lambda x: model.discriminator_forward(x, dcfg, disc_params)
+    critic = model.critic(dcfg, disc_params)
     try:
         for step in range(start, tcfg.max_iters):
             t0 = time.perf_counter()
@@ -591,17 +607,20 @@ def train_stage(
                     real, _, _ = stage.batch(batches.next(), mcfg, gen_params)
                     real_a, fake_a = _align_time(real, fake)
                     critic_stats = critic_update(
-                        real_a, fake_a, disc_fwd, disc_params, disc_opt, rng,
+                        real_a, fake_a, critic, disc_params, disc_opt, rng,
                         tcfg.gp_weight,
                     )
                     n_critic_done += 1
+            t_gen = time.perf_counter()
             _, mask, forward = stage.batch(batches.next(), mcfg, gen_params)
             y, recon = forward()
             recon_loss = recon()
             gan_loss = None
             if gan_on:
-                gan_loss = losses.wgan_generator_loss(disc_fwd(ad.mul(y, Tensor(mask))))
+                scores = model.discriminator_forward(ad.mul(y, Tensor(mask)), dcfg, disc_params)
+                gan_loss = losses.wgan_generator_loss(scores)
             gen_stats = generator_update(recon_loss, gan_loss, gen_params, gen_opt)
+            t_end = time.perf_counter()
             if not all(np.isfinite(v) for v in gen_stats.values()):
                 raise TrainingAborted(f"non-finite loss at step {step}")
             if log_f and ((step + 1) % tcfg.log_every == 0 or step == start):
@@ -611,6 +630,8 @@ def train_stage(
                     "critic_updates": n_critic_done,
                     "generator_updates": 1,
                     "wall_ms": round(1e3 * (time.perf_counter() - t0), 3),
+                    "critic_ms": round(1e3 * (t_gen - t0), 3),
+                    "generator_ms": round(1e3 * (t_end - t_gen), 3),
                     **{f"critic_{k}": v for k, v in critic_stats.items()},
                     **gen_stats,
                 }

@@ -283,7 +283,7 @@ def test_acceptance_loss_suite():
     # zero-gradient fixture: penalty contributes exactly the coefficient
     b = 5
     same = Tensor(np.full(b, 0.3))
-    val = float(losses.wgan_critic_loss(same, same, Tensor(np.zeros((b, 3, 4))), 10.0).data)
+    val = float(losses.wgan_critic_loss(same, same, Tensor(np.zeros(b)), 10.0).data)
     assert val == 10.0
     _report("loss-suite", f"oracle diff <= 1e-6, spot values exact, penalty == 10")
 
@@ -381,8 +381,14 @@ def test_acceptance_wgan_gp_sanity():
             "b": Tensor(np.array([0.0]), requires_grad=True),
         }
 
-        def critic(x):
-            return ops.add(ops.mul(ops.reshape(x, (x.shape[0],)), params["w"]), params["b"])
+        w, b = params["w"], params["b"]
+        critic = model.Critic(  # w*x + b, whose input gradient is w*delta
+            front=lambda x: ops.mul(x, w),
+            body=lambda z: ops.add(ops.reshape(z, (z.shape[0],)), b),
+            grad_sq=lambda delta, t: ops.reshape(
+                ops.mul(ops.mul(delta, delta), ops.mul(w, w)), (delta.shape[0],)
+            ),
+        )
 
         opt = AdamState(alpha=5e-3)
         tail = []
@@ -393,8 +399,8 @@ def test_acceptance_wgan_gp_sanity():
             if step >= 2400:
                 tail.append(stats["grad_norm"])
         est = float(
-            np.mean(critic(Tensor(real_pts[:, None])).data)
-            - np.mean(critic(Tensor(fake_pts[:, None])).data)
+            np.mean(critic.body(critic.front(Tensor(real_pts[:, None]))).data)
+            - np.mean(critic.body(critic.front(Tensor(fake_pts[:, None]))).data)
         )
     assert abs(est - 1.0) <= 0.1
     norm = float(np.mean(tail))

@@ -168,6 +168,44 @@ def test_train_refuses_downsample_ssrn_cannot_restore(
     assert not list((tmp_path / "out").glob("*.mfck"))
 
 
+def test_train_refuses_unknown_disc_variant_exit_2(
+    prepared_dir, toy_corpus, tiny_cfg_file, tmp_path, capsys
+):
+    """An unknown train.disc_variant in a config file exits 2 before
+    training, naming the key and the variants there are."""
+    cfg = json.loads(tiny_cfg_file.read_text())
+    cfg["train"]["disc_variant"] = "3A"
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = run_cli(
+        "train", "t2m",
+        "--manifest", prepared_dir / "train.jsonl",
+        "--embeddings", toy_corpus / "embeddings.mfem",
+        "--out", tmp_path / "out", "--config", tmp_path / "cfg.json",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "train.disc_variant" in err and "base, v1, v2" in err and "'3A'" in err, err
+    assert not list((tmp_path / "out").glob("*.mfck"))
+
+
+def test_eval_antispoof_unknown_variant_exit_2(toy_corpus, tmp_path, capsys, monkeypatch):
+    """An unknown VARIANT in discriminator:CKPT:VARIANT exits 2, as a
+    malformed backend string does, before any checkpoint is read."""
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("checkpoint read before the variant was checked")
+
+    monkeypatch.setattr(train, "load_checkpoint", no_read)
+    code = run_cli(
+        "eval-antispoof", "--real", toy_corpus / "spk0", "--synth", toy_corpus / "spk1",
+        "--backend", f"discriminator:{tmp_path / 'ck.mfck'}:3A", "--out", tmp_path / "anti",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "base, v1, v2" in err and "3A" in err, err
+    assert not (tmp_path / "anti" / "report.json").exists()
+
+
 def test_synth_and_determinism(trained_dir, toy_corpus, tmp_path):
     text = tmp_path / "t.txt"
     text.write_text("ab c d.")
@@ -258,6 +296,7 @@ BAD_CONFIGS = [
     ("unknown_section", {"vocoder": {}}, 4),
     ("str_for_int", {"protocol": {"n_enroll": "2"}}, 2),
     ("bool_for_int", {"train": {"seed": True}}, 2),
+    ("unknown_variant", {"train": {"disc_variant": "3A"}}, 2),
 ]
 
 

@@ -89,17 +89,25 @@ def test_guided_weight_values():
         losses.guided_weights(0, 5)
 
 
+def _sq_norms(g):
+    """Each sample's sum of squared gradient entries, (B, ...) -> (B,)."""
+    return np.sum(g.reshape(g.shape[0], -1) ** 2, axis=1)
+
+
 def test_wgan_critic_loss_closed_forms(rng):
     b = 4
     scores = Tensor(np.full(b, 1.7))
     # equal scores, unit gradient norms -> loss 0
     g_unit = np.zeros((b, 2, 8))
     g_unit[:, 0, 0] = 1.0
-    val = float(losses.wgan_critic_loss(scores, scores, Tensor(g_unit), 10.0).data)
+    val = float(losses.wgan_critic_loss(scores, scores, Tensor(_sq_norms(g_unit)), 10.0).data)
     assert val == pytest.approx(0.0, abs=1e-12)
     # zero gradients, equal scores -> loss = gp_weight exactly
-    val = float(losses.wgan_critic_loss(scores, scores, Tensor(np.zeros((b, 2, 8))), 10.0).data)
+    zero = _sq_norms(np.zeros((b, 2, 8)))
+    val = float(losses.wgan_critic_loss(scores, scores, Tensor(zero), 10.0).data)
     assert val == 10.0
+    with pytest.raises(ValueError, match=r"\(B,\)"):  # a gradient array, not its norms
+        losses.wgan_critic_loss(scores, scores, Tensor(g_unit), 10.0)
 
 
 def test_wgan_penalty_zero_iff_unit_norms(rng):
@@ -107,9 +115,10 @@ def test_wgan_penalty_zero_iff_unit_norms(rng):
     g = rng.standard_normal((b, 3, 4))
     g /= np.linalg.norm(g.reshape(b, -1), axis=1)[:, None, None]
     same = Tensor(np.zeros(b))
-    assert float(losses.wgan_critic_loss(same, same, Tensor(g), 10.0).data) == pytest.approx(0.0, abs=1e-12)
+    sq = Tensor(_sq_norms(g))
+    assert float(losses.wgan_critic_loss(same, same, sq, 10.0).data) == pytest.approx(0.0, abs=1e-12)
     g2 = g * 1.3
-    assert float(losses.wgan_critic_loss(same, same, Tensor(g2), 10.0).data) > 1e-3
+    assert float(losses.wgan_critic_loss(same, same, Tensor(_sq_norms(g2)), 10.0).data) > 1e-3
 
 
 def test_wgan_generator_loss(rng):

@@ -16,6 +16,7 @@ from melforge.config import RunConfig, TrainConfig
 from melforge.errors import CompatibilityError, FormatError
 from melforge.model import ModelConfig
 from melforge.textproc import CharVocab
+from oracles import max_rel_err, taped_critic_update
 
 
 def _tiny_run_cfg(fcfg, steps=6, seed=3, **kw):
@@ -50,7 +51,8 @@ def test_training_is_deterministic(toy_samples, tmp_path):
         list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=5), log_path=path))
         entries = [json.loads(l) for l in path.read_text().splitlines()]
         for e in entries:
-            e.pop("wall_ms")  # the only nondeterministic field
+            for key in ("wall_ms", "critic_ms", "generator_ms"):  # the timings
+                e.pop(key)
         logs.append(entries)
     assert logs[0] == logs[1]
 
@@ -64,6 +66,9 @@ def test_run_log_records_5_to_1_ratio(toy_samples, tmp_path):
     for e in entries:
         assert e["critic_updates"] == 5
         assert e["generator_updates"] == 1
+        for key in ("wall_ms", "critic_ms", "generator_ms", "critic_gp"):
+            assert np.isfinite(e[key]), key
+        assert e["critic_ms"] + e["generator_ms"] <= e["wall_ms"] + 0.002  # rounding
         json.dumps(e)  # every line is valid JSON
 
 
@@ -88,7 +93,6 @@ def test_critic_and_generator_updates_are_isolated(toy_samples):
         gen_params = stage.init(cfg.model, rng)
         dcfg = model.DiscriminatorConfig(in_channels=stage.channels(cfg.model), channels=8)
         disc_params = model.init_discriminator_params(dcfg, rng)
-        disc_fwd = lambda x: model.discriminator_forward(x, dcfg, disc_params)
         gen_before = {k: v.data.copy() for k, v in gen_params.items()}
         _, mask, forward = stage.batch(samples[:4], cfg.model, gen_params)
         with ad.no_grad():
@@ -96,14 +100,16 @@ def test_critic_and_generator_updates_are_isolated(toy_samples):
         fake = (y.data * mask).astype(np.float32)
         real, _, _ = stage.batch(samples[:4], cfg.model, gen_params)
         real, fake = train._align_time(real, fake)
-        train.critic_update(real, fake, disc_fwd, disc_params, AdamState(), rng, 10.0)
+        critic = model.critic(dcfg, disc_params)
+        train.critic_update(real, fake, critic, disc_params, AdamState(), rng, 10.0)
         for k in gen_params:
             np.testing.assert_array_equal(gen_params[k].data, gen_before[k])
 
         disc_before = {k: v.data.copy() for k, v in disc_params.items()}
         _, mask, forward = stage.batch(samples[:4], cfg.model, gen_params)
         y, recon = forward()
-        gan = losses.wgan_generator_loss(disc_fwd(ad.mul(y, Tensor(mask))))
+        scores = model.discriminator_forward(ad.mul(y, Tensor(mask)), dcfg, disc_params)
+        gan = losses.wgan_generator_loss(scores)
         train.generator_update(recon(), gan, gen_params, AdamState())
         for k in disc_params:
             np.testing.assert_array_equal(disc_params[k].data, disc_before[k])
@@ -320,6 +326,53 @@ def test_stage_batch_shapes(toy_samples, model_id):
         assert np.isfinite(float(recon().data))
 
 
+@pytest.mark.parametrize("variant", model.DISC_VARIANTS)
+@pytest.mark.parametrize("t", [15, 16])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_critic_update_matches_taped_oracle(variant, t, dtype):
+    """One critic_update against the step through the full input gradient,
+    from the same parameters and RNG state.  float64 agrees to 1e-12.
+    float32, measured over three variants, 80 and 513 channels and odd and
+    even T: loss and grad_norm within 4.3e-7 relative, Adam moments within
+    2.5e-6 of each tensor's max, so the bounds are 2e-6 and 1e-5.  The first
+    Adam step moves a parameter by alpha * g / (|g| + eps), so an element
+    whose float32 gradient is within rounding of zero can move by part of a
+    step: measured 0.12 * alpha at worst, bounded by alpha / 4."""
+    rng = np.random.default_rng(t)
+    with ad.using_dtype(dtype):
+        dc = model.DiscriminatorConfig(in_channels=80, channels=16, variant=variant)
+        init = {k: v.data for k, v in model.init_discriminator_params(dc, rng).items()}
+        real = rng.random((4, 80, t)).astype(dtype)
+        fake = rng.random((4, 80, t)).astype(dtype)
+        runs = []
+        for oracle in (False, True):
+            p = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+            opt = AdamState()
+            step_rng = np.random.default_rng(7)
+            if oracle:
+                fwd = lambda x: model.discriminator_forward(x, dc, p)
+                stats = taped_critic_update(real, fake, fwd, p, opt, step_rng, 10.0)
+            else:
+                stats = train.critic_update(
+                    real, fake, model.critic(dc, p), p, opt, step_rng, 10.0
+                )
+            runs.append((stats, p, opt, step_rng.bit_generator.state))
+    (got, p_got, opt_got, rng_got), (want, p_want, opt_want, rng_want) = runs
+    assert rng_got == rng_want  # the same draws of u
+    f64 = dtype == np.float64
+    rtol = 1e-12 if f64 else 2e-6
+    for key in ("critic_loss", "grad_norm"):
+        assert got[key] == pytest.approx(want[key], rel=rtol), key
+    assert opt_got.t == opt_want.t == 1
+    for k in init:
+        for a, b in ((opt_got.m[k], opt_want.m[k]), (opt_got.v[k], opt_want.v[k])):
+            assert max_rel_err(a, b, floor=1e-30) <= (1e-12 if f64 else 1e-5), k
+        if f64:
+            assert max_rel_err(p_got[k].data, p_want[k].data) <= 1e-12, k
+        else:
+            assert np.abs(p_got[k].data - p_want[k].data).max() <= opt_got.alpha / 4, k
+
+
 def test_wgan_gp_sanity_1d_two_point():
     """Linear critic on two shifted two-point distributions: the trained
     Wasserstein estimate approaches the true distance 1.0 and the
@@ -332,10 +385,14 @@ def test_wgan_gp_sanity_1d_two_point():
         "b": Tensor(np.array([0.0], dtype=np.float64), requires_grad=True),
     }
 
-    def critic(x):  # per-sample scalar scores: w*x + b
-        flat = ops.reshape(x, (x.shape[0],))
-        return ops.add(ops.mul(flat, params["w"]), params["b"])
-
+    w, b = params["w"], params["b"]
+    critic = model.Critic(  # per-sample scalar scores w*x + b; d/dx is w*delta
+        front=lambda x: ops.mul(x, w),
+        body=lambda z: ops.add(ops.reshape(z, (z.shape[0],)), b),
+        grad_sq=lambda delta, t: ops.reshape(
+            ops.mul(ops.mul(delta, delta), ops.mul(w, w)), (delta.shape[0],)
+        ),
+    )
     opt = AdamState(alpha=5e-3)
     norm_tail = []
     with ad.using_dtype(np.float64):
@@ -347,8 +404,8 @@ def test_wgan_gp_sanity_1d_two_point():
                 norm_tail.append(stats["grad_norm"])
         # exact expectations over the two point masses
         est = float(
-            np.mean(critic(Tensor(real_pts[:, None])).data)
-            - np.mean(critic(Tensor(fake_pts[:, None])).data)
+            np.mean(critic.body(critic.front(Tensor(real_pts[:, None]))).data)
+            - np.mean(critic.body(critic.front(Tensor(fake_pts[:, None]))).data)
         )
     assert abs(est - 1.0) <= 0.1  # true W1 distance is 1.0
     assert 0.9 <= np.mean(norm_tail) <= 1.1
