@@ -306,15 +306,6 @@ def _sigmoid_vjp(node, g):
     return (mul(g, mul(node, one_minus)),)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    return make_op_output(np.tanh(a.data), _tanh_vjp, (a,))
-
-
-def _tanh_vjp(node, g):
-    return (mul(g, sub(1.0, mul(node, node))),)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     return make_op_output(np.maximum(a.data, 0), _relu_vjp, (a,), {"mask": a.data > 0})

@@ -1,8 +1,10 @@
 """Command-line orchestration for the full pipeline.
 
 Subcommands: prepare, train, synth, eval-sv, eval-antispoof, fixture.
-Exit codes are a stable contract: 0 success, 2 corpus/input problems,
-3 training abort, 4 checkpoint/config compatibility, 5 protocol mismatch.
+Exit codes are a stable contract: 0 success, else the ``exit_code`` of the
+``errors`` type raised, and 2 for a missing input file.  Networks come
+from checkpoints as in `train --resume`: built at the checkpoint's model
+config, then filled by ``train.restore``.
 Every subcommand is deterministic given (inputs, config, seed); the
 resolved configuration is echoed to stderr and its feature hash embedded
 in all outputs.
@@ -28,27 +30,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
+from . import autodiff as ad
 from . import corpus, dsp, fixture, model, textproc, train
 from . import eval as ev
-from .autodiff import Tensor
 from .config import RunConfig, feature_hash, load_config
-from .errors import (
-    CompatibilityError,
-    CorpusError,
-    FormatError,
-    MelforgeError,
-    ProtocolError,
-    TrainingAborted,
-)
+from .errors import CompatibilityError, CorpusError, FormatError, MelforgeError, ProtocolError
 from .fileio import atomic_write
-
-EXIT_CODES = {
-    CorpusError: 2,
-    FormatError: 2,
-    TrainingAborted: 3,
-    CompatibilityError: 4,
-    ProtocolError: 5,
-}
 
 
 def _echo_config(cfg: RunConfig) -> None:
@@ -127,6 +114,8 @@ def cmd_train(args) -> int:
     manifest = corpus.load_manifest(args.manifest)
     store = corpus.load_embeddings(args.embeddings)
     samples = train.load_training_samples(manifest, store)
+    train.check_model_fits_features(cfg)
+    _check_feature_caches(manifest, cfg, args.force)
     resume = None
     if args.resume:
         resume = train.load_checkpoint(
@@ -145,27 +134,54 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_feature_caches(manifest, cfg: RunConfig, force: bool) -> None:
+    """Refuse training on feature caches made under other feature settings
+    than ``cfg.dsp``, whose hash the checkpoints would carry."""
+    dirs = {Path(p).parent for r in manifest.records for p in r.features.values()}
+    if len(dirs) != 1:
+        raise CorpusError(f"the manifest's feature caches lie in {len(dirs)} directories")
+    meta_path = dirs.pop() / "features.json"
+    try:
+        cached = json.loads(meta_path.read_text(encoding="utf-8"))["hash"]
+    except (OSError, ValueError, KeyError, TypeError) as e:  # ValueError: bad UTF-8 or JSON
+        raise FormatError(f"{meta_path}: no readable feature hash ({e!r})") from e
+    want = feature_hash(cfg.dsp)
+    if cached != want and not force:
+        raise CompatibilityError(
+            f"{meta_path}: the caches have feature hash {cached}, the config {want}"
+            " (pass the config.json that prepare wrote, or use --force)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
 
 
-def _params_from(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    return {k: Tensor(v) for k, v in arrays.items()}
+def _generator(path, model_id: str):
+    """Checkpoint ``path``, the config it records and its generator, built
+    at that config; refused unless the checkpoint is for ``model_id``."""
+    ck = train.load_checkpoint(path)
+    if ck.model_id != model_id:
+        raise CompatibilityError(f"{path}: checkpoint is for {ck.model_id!r}, not {model_id!r}")
+    run_cfg = RunConfig.from_dict(ck.config)
+    params = train.STAGES[model_id].init(run_cfg.model, np.random.default_rng(0))
+    train.restore(params, ck.params, path)
+    return ck, run_cfg, params
 
 
 def cmd_synth(args) -> int:
     if args.max_frames < 1:
         raise CorpusError(f"--max-frames must be >= 1, got {args.max_frames}")
-    t2m_ck = train.load_checkpoint(args.t2m)
-    ssrn_ck = train.load_checkpoint(args.ssrn)
+    t2m_ck, run_cfg, t2m_params = _generator(args.t2m, "t2m")
+    ssrn_ck, ssrn_cfg, ssrn_params = _generator(args.ssrn, "ssrn")
+    mcfg = run_cfg.model
     if t2m_ck.feature_hash != ssrn_ck.feature_hash and not args.force:
         raise CompatibilityError(
             f"checkpoint feature hashes differ: {t2m_ck.feature_hash} vs"
             f" {ssrn_ck.feature_hash} (use --force to override)"
         )
-    run_cfg = RunConfig.from_dict(t2m_ck.config)
-    if args.config:
+    if args.config:  # the feature settings and the seed
         user_cfg = load_config(args.config)
         if feature_hash(user_cfg.dsp) != t2m_ck.feature_hash and not args.force:
             raise CompatibilityError(
@@ -182,7 +198,6 @@ def cmd_synth(args) -> int:
     store = corpus.load_embeddings(args.embeddings)
     if args.speaker not in store:
         raise CorpusError(f"speaker {args.speaker!r} not in embedding store")
-    mcfg = run_cfg.model
     if store.dim != mcfg.speaker_dim:
         raise CompatibilityError(
             f"embedding store holds {store.dim}-dim vectors, but"
@@ -191,14 +206,11 @@ def cmd_synth(args) -> int:
     spk = store[args.speaker]
     clock = [time.perf_counter()]  # decode start, then the end of each stage
     dmel, att, path = model.t2m_generate(
-        seq.indices,
-        spk,
-        _params_from(t2m_ck.params),
-        mcfg,
-        max_frames=args.max_frames,
+        seq.indices, spk, t2m_params, mcfg, max_frames=args.max_frames
     )
     clock.append(time.perf_counter())
-    lin = model.ssrn_forward(dmel[None], _params_from(ssrn_ck.params), mcfg).data[0]
+    with ad.no_grad():
+        lin = model.ssrn_forward(dmel[None], ssrn_params, ssrn_cfg.model).data[0]
     clock.append(time.perf_counter())
     mag = dsp.denormalize_db(lin, run_cfg.dsp.ref_lin, run_cfg.dsp.gl_sharpen)
     wave = dsp.griffin_lim(
@@ -359,42 +371,31 @@ def _lfcc_backend(real_files, synth_files, args):
 
 
 def _discriminator_backend(real_files, synth_files, spec_str):
+    """Scores from the critic in the checkpoint named by ``spec_str``, built
+    as the checkpoint's config records it; also returns its feature hash."""
     parts = spec_str.split(":")
-    if len(parts) != 3 or parts[0] != "discriminator":
+    if len(parts) != 2 or parts[0] != "discriminator":
         raise CorpusError(
-            f"bad backend {spec_str!r}; expected discriminator:CKPT:VARIANT"
+            f"bad backend {spec_str!r}; expected discriminator:CKPT"
+            " (the critic variant is the checkpoint's)"
         )
-    _, ckpt_path, variant = parts
-    if variant not in model.DISC_VARIANTS:
-        raise CorpusError(
-            f"bad backend {spec_str!r}; VARIANT must be one of"
-            f" {', '.join(model.DISC_VARIANTS)}"
-        )
+    ckpt_path = parts[1]
     ck = train.load_checkpoint(ckpt_path)
     run_cfg = RunConfig.from_dict(ck.config)
-    stage = train.STAGES[ck.model_id]
-    dcfg = model.DiscriminatorConfig(
-        in_channels=stage.channels(run_cfg.model),
-        channels=run_cfg.train.disc_channels,
-        variant=variant,
-    )
-    params = _params_from(ck.disc_params)
-    needed = set(model.init_discriminator_params(dcfg, np.random.default_rng(0)))
-    missing = needed - set(params)
-    if missing:
-        raise CompatibilityError(
-            f"checkpoint lacks parameters for variant {variant!r}: {sorted(missing)}"
-            " (train with train.disc_variant set)"
-        )
+    dcfg = train.discriminator_config(ck.model_id, run_cfg)
+    params = model.init_discriminator_params(dcfg, np.random.default_rng(0))
+    train.restore(params, ck.disc_params, ckpt_path)
+    feature = train.STAGES[ck.model_id].feature
 
     def score(path) -> float:
         wave = dsp.read_wav(path)
         if wave.sample_rate != run_cfg.dsp.sample_rate:
             wave = dsp.resample(wave, run_cfg.dsp.sample_rate)
-        spec = dsp.wave_to_features(wave, run_cfg.dsp)[stage.feature]
-        return float(model.discriminator_forward(spec[None], dcfg, params).data[0])
+        spec = dsp.wave_to_features(wave, run_cfg.dsp)[feature]
+        with ad.no_grad():
+            return float(model.discriminator_forward(spec[None], dcfg, params).data[0])
 
-    return [score(f) for f in real_files], [score(f) for f in synth_files]
+    return [score(f) for f in real_files], [score(f) for f in synth_files], ck.feature_hash
 
 
 def cmd_eval_antispoof(args) -> int:
@@ -403,10 +404,11 @@ def cmd_eval_antispoof(args) -> int:
     synth_files = _wav_list(args.synth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    fhash = feature_hash(cfg.dsp)
     if args.backend == "gmm-lfcc":
         real_scores, synth_scores = _lfcc_backend(real_files, synth_files, args)
     elif args.backend.startswith("discriminator:"):
-        real_scores, synth_scores = _discriminator_backend(
+        real_scores, synth_scores, fhash = _discriminator_backend(
             real_files, synth_files, args.backend
         )
     else:
@@ -425,7 +427,7 @@ def cmd_eval_antispoof(args) -> int:
         "eer": eer,
         "n_real": len(real_files),
         "n_synthetic": len(synth_files),
-        "feature_hash": feature_hash(cfg.dsp),
+        "feature_hash": fhash,
     }
     _write_json(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))
@@ -503,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     ea.add_argument("--real", required=True, help="directory of real wavs")
     ea.add_argument("--synth", required=True, help="directory of synthetic wavs")
     ea.add_argument(
-        "--backend", default="gmm-lfcc", help="gmm-lfcc or discriminator:CKPT:VARIANT"
+        "--backend", default="gmm-lfcc", help="gmm-lfcc or discriminator:CKPT (its critic)"
     )
     ea.add_argument("--out", required=True)
     ea.add_argument("--gmm-components", type=int, default=64)
@@ -525,9 +527,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except MelforgeError as e:
         print(f"error: {e}", file=sys.stderr)
-        for etype, code in EXIT_CODES.items():
-            if isinstance(e, etype):
-                return code
+        return e.exit_code
+    except FileNotFoundError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
 
 

@@ -9,7 +9,6 @@ are excluded via the optional masks.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +19,6 @@ log = logging.getLogger(__name__)
 
 CLAMP_EPS = 1e-7
 RATIO_GUARD = 1e-8
-
-
-@dataclass(frozen=True)
-class GanBatchStats:
-    """Per-batch expectations of the two loss groups (Wasserstein losses can
-    be negative; the magnitude guard lives in `combine_losses`)."""
-
-    mean_recon: float
-    mean_gan: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mean_recon) and np.isfinite(self.mean_gan)):
-            raise ValueError("batch loss statistics must be finite")
 
 
 def masked_mean(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -142,11 +128,14 @@ def wgan_generator_loss(d_fake: Tensor) -> Tensor:
     return ops.neg(ops.mean(ad.as_tensor(d_fake)))
 
 
-def combine_losses(l_recon: Tensor, l_gan: Tensor, stats: GanBatchStats) -> Tensor:
-    """l_recon + (mean_recon / max(|mean_gan|, eps)) * l_gan.
+def combine_losses(l_recon: Tensor, l_gan: Tensor) -> tuple[Tensor, float]:
+    """l_recon + ratio * l_gan and the ratio, mean_recon / max(|mean_gan|, eps).
 
-    The ratio is a per-batch constant during differentiation, so the two
-    gradient contributions have equal expected weight.
+    The ratio is taken from the batch's loss values and is a constant
+    during differentiation, so the two gradient contributions have equal
+    expected weight.  Wasserstein losses can be negative, hence the
+    magnitude.
     """
-    ratio = stats.mean_recon / max(abs(stats.mean_gan), RATIO_GUARD)
-    return ops.add(ad.as_tensor(l_recon), ops.mul(ad.as_tensor(l_gan), float(ratio)))
+    l_recon, l_gan = ad.as_tensor(l_recon), ad.as_tensor(l_gan)
+    ratio = float(l_recon.data) / max(abs(float(l_gan.data)), RATIO_GUARD)
+    return ops.add(l_recon, ops.mul(l_gan, ratio)), ratio

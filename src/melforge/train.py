@@ -23,7 +23,9 @@ Checkpoints are binary: magic "MFCK", version, a JSON metadata block, then
 a tensor table of little-endian float32 buffers (parameters and optimizer
 moments), giving bit-exact round trips.  The metadata also carries the loop
 state, the training generator's bit-generator state and the batch queue, so
-a resumed run continues bit for bit as the uninterrupted run would.
+a resumed run continues bit for bit as the uninterrupted run would.  Resume,
+`synth` and `eval-antispoof` all build a network at the checkpoint's model
+config, then fill it by `restore`, which checks each name and shape.
 """
 
 from __future__ import annotations
@@ -214,13 +216,15 @@ def _to_arrays(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {k: t.data.astype(np.float32, copy=True) for k, t in params.items()}
 
 
-def _restore(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+def restore(params: dict[str, Tensor], arrays: dict[str, np.ndarray], source="checkpoint") -> None:
+    """Fill freshly built ``params`` in place from the ``arrays`` of
+    ``source``; FormatError unless each is there with the model's shape."""
     for k, t in params.items():
         if k not in arrays:
-            raise FormatError(f"checkpoint missing parameter {k!r}")
+            raise FormatError(f"{source} lacks parameter {k!r}")
         if arrays[k].shape != t.data.shape:
             raise FormatError(
-                f"checkpoint parameter {k!r} has shape {arrays[k].shape}, "
+                f"{source} parameter {k!r} has shape {arrays[k].shape}, "
                 f"model expects {t.data.shape}"
             )
         t.data = arrays[k].astype(t.data.dtype, copy=True)
@@ -373,10 +377,8 @@ def generator_update(
             raise TrainingAborted(f"non-finite {name} loss {float(loss.data)}")
     if loss_gan is None:
         total = loss_recon
-        stats = None
     else:
-        stats = losses.GanBatchStats(float(loss_recon.data), float(loss_gan.data))
-        total = losses.combine_losses(loss_recon, loss_gan, stats)
+        total, ratio = losses.combine_losses(loss_recon, loss_gan)
     if not np.isfinite(total.data):
         raise TrainingAborted(f"non-finite generator loss {float(total.data)}")
     names = list(gen_params)
@@ -385,7 +387,7 @@ def generator_update(
     out = {"recon": float(loss_recon.data), "total": float(total.data)}
     if loss_gan is not None:
         out["gan"] = float(loss_gan.data)
-        out["ratio"] = stats.mean_recon / max(abs(stats.mean_gan), losses.RATIO_GUARD)
+        out["ratio"] = ratio
     return out
 
 
@@ -488,6 +490,33 @@ STAGES = {
 }
 
 
+def discriminator_config(model_id: str, run_cfg: RunConfig) -> DiscriminatorConfig:
+    """The critic that ``run_cfg`` trains against stage ``model_id``."""
+    tcfg = run_cfg.train
+    channels = STAGES[model_id].channels(run_cfg.model)
+    return DiscriminatorConfig(channels, tcfg.disc_channels, tcfg.disc_variant)
+
+
+def check_model_fits_features(run_cfg: RunConfig) -> None:
+    """Refuse (CompatibilityError) model settings that cannot fit the
+    feature grids of ``run_cfg.dsp``, naming both keys."""
+    mcfg, fcfg = run_cfg.model, run_cfg.dsp
+    if not mcfg.downsample == fcfg.downsample == model.SSRN_UPSAMPLE:
+        raise CompatibilityError(
+            f"model.downsample {mcfg.downsample} and dsp.downsample {fcfg.downsample}"
+            f" must both be {model.SSRN_UPSAMPLE}, the factor SSRN restores"
+        )
+    if mcfg.n_mels != fcfg.n_mels:
+        raise CompatibilityError(
+            f"model.n_mels {mcfg.n_mels} differs from dsp.n_mels {fcfg.n_mels}"
+        )
+    if mcfg.n_bins != fcfg.win // 2 + 1:
+        raise CompatibilityError(
+            f"model.n_bins {mcfg.n_bins} differs from dsp.win // 2 + 1"
+            f" = {fcfg.win // 2 + 1}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # training loops
 # ---------------------------------------------------------------------------
@@ -516,28 +545,11 @@ def train_stage(
     stage = STAGES[model_id]
     tcfg = run_cfg.train
     mcfg = run_cfg.model
-    if not mcfg.downsample == run_cfg.dsp.downsample == model.SSRN_UPSAMPLE:
-        raise CompatibilityError(
-            f"model.downsample {mcfg.downsample} and dsp.downsample {run_cfg.dsp.downsample}"
-            f" must both be {model.SSRN_UPSAMPLE}, the factor SSRN restores"
-        )
-    if mcfg.n_mels != run_cfg.dsp.n_mels:
-        raise CompatibilityError(
-            f"model.n_mels {mcfg.n_mels} differs from dsp.n_mels {run_cfg.dsp.n_mels}"
-        )
-    if mcfg.n_bins != run_cfg.dsp.win // 2 + 1:
-        raise CompatibilityError(
-            f"model.n_bins {mcfg.n_bins} differs from dsp.win // 2 + 1"
-            f" = {run_cfg.dsp.win // 2 + 1}"
-        )
+    check_model_fits_features(run_cfg)
     vocab = vocab or CharVocab()
     rng = np.random.default_rng(tcfg.seed)
     gen_params = stage.init(mcfg, rng)
-    dcfg = DiscriminatorConfig(
-        in_channels=stage.channels(mcfg),
-        channels=tcfg.disc_channels,
-        variant=tcfg.disc_variant,
-    )
+    dcfg = discriminator_config(model_id, run_cfg)
     disc_params = model.init_discriminator_params(dcfg, rng)
     gen_opt, disc_opt = _adam(tcfg), _adam(tcfg)
     batches = BatchIterator(
@@ -559,8 +571,8 @@ def train_stage(
             raise CompatibilityError(
                 "checkpoint was trained under another train recipe: " + ", ".join(changed)
             )
-        _restore(gen_params, resume.params)
-        _restore(disc_params, resume.disc_params)
+        restore(gen_params, resume.params)
+        restore(disc_params, resume.disc_params)
         _restore_opt(gen_opt, resume.opt, resume.opt_t)
         _restore_opt(disc_opt, resume.disc_opt, resume.disc_opt_t)
         start = resume.iteration
@@ -621,8 +633,6 @@ def train_stage(
                 gan_loss = losses.wgan_generator_loss(scores)
             gen_stats = generator_update(recon_loss, gan_loss, gen_params, gen_opt)
             t_end = time.perf_counter()
-            if not all(np.isfinite(v) for v in gen_stats.values()):
-                raise TrainingAborted(f"non-finite loss at step {step}")
             if log_f and ((step + 1) % tcfg.log_every == 0 or step == start):
                 entry = {
                     "step": step + 1,

@@ -276,8 +276,7 @@ def test_acceptance_loss_suite():
         mg = float(rng.uniform(-5, 5))
         if abs(mg) < 1e-6:
             continue
-        stats = losses.GanBatchStats(mr, mg)
-        ratio = mr / max(abs(mg), losses.RATIO_GUARD)
+        _, ratio = losses.combine_losses(Tensor(np.array(mr)), Tensor(np.array(mg)))
         assert ratio * abs(mg) == pytest.approx(mr, rel=1e-12)
 
     # zero-gradient fixture: penalty contributes exactly the coefficient

@@ -42,7 +42,7 @@ def test_elementwise_op_gradients(dtype, eps, tol, rng):
             z = ops.add(z, ops.exp(ops.mul(a, -0.3)))
             z = ops.add(z, ops.log(ops.add(ops.mul(b, b), 0.5)))
             z = ops.add(z, ops.sqrt(ops.add(ops.mul(a, a), 0.1)))
-            z = ops.add(z, ops.tanh(b))
+            z = ops.add(z, ops.sigmoid(b))
             return ad.tsum(ops.mul(z, z))
 
         _check_grads(loss, [x, y], eps, tol)
@@ -278,8 +278,8 @@ def test_pair_sum_matches_reduction_and_repeat_pairs_is_adjoint(rng):
     rhs = np.sum(x64 * ops.repeat_pairs(Tensor(y)).data)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
     with ad.using_dtype(np.float64):
-        _check_grads(lambda ts: ad.tsum(ops.tanh(ops.pair_sum(ts[0]))), [x64], 1e-6, 1e-5)
-        _check_grads(lambda ts: ad.tsum(ops.tanh(ops.repeat_pairs(ts[0]))), [y], 1e-6, 1e-5)
+        _check_grads(lambda ts: ad.tsum(ops.sigmoid(ops.pair_sum(ts[0]))), [x64], 1e-6, 1e-5)
+        _check_grads(lambda ts: ad.tsum(ops.sigmoid(ops.repeat_pairs(ts[0]))), [y], 1e-6, 1e-5)
 
 
 def test_pair_sum_second_order_penalty_matches_nested_fd(rng):
@@ -336,7 +336,6 @@ _PRIMITIVE_ROWS = {
     "log": (lambda a: ops.log(ops.add(ops.mul(a, a), 0.5)), [(3, 4)]),
     "sqrt": (lambda a: ops.sqrt(ops.add(ops.mul(a, a), 0.5)), [(3, 4)]),
     "sigmoid": (lambda a: ops.sigmoid(a), [(3, 4)]),
-    "tanh": (lambda a: ops.tanh(a), [(3, 4)]),
     "relu": (lambda a: ops.relu(a), [_KINKED]),
     "absval": (lambda a: ops.absval(a), [_KINKED]),
     "clip": (lambda a: ops.clip(a, -0.5, 0.5), [_KINKED]),

@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from melforge import cli, corpus, dsp, train
+from melforge import cli, corpus, dsp, model, train
 from melforge import eval as ev
+from melforge.autodiff import Tensor
 from melforge.config import RunConfig
 from melforge.errors import CompatibilityError, FormatError
 
@@ -135,6 +137,61 @@ def test_train_bad_embedding_key_exit_2(prepared_dir, toy_corpus, tmp_path):
     assert code == 2
 
 
+def _train_args(prepared_dir, toy_corpus, out, cfg, manifest=None):
+    return [
+        "train", "t2m",
+        "--manifest", manifest or prepared_dir / "train.jsonl",
+        "--embeddings", toy_corpus / "embeddings.mfem",
+        "--out", out, "--config", cfg, "--steps", 1,
+    ]
+
+
+def test_train_refuses_caches_of_other_feature_settings_exit_4(
+    prepared_dir, toy_corpus, tiny_cfg_file, tmp_path, capsys
+):
+    """The caches carry the reference levels prepare resolved, which
+    tiny_cfg_file lacks: training on them exits 4, naming the cache hash,
+    unless --force is given."""
+    args = _train_args(prepared_dir, toy_corpus, tmp_path / "out", tiny_cfg_file)
+    assert run_cli(*args) == 4
+    cached = json.loads((prepared_dir / "features" / "features.json").read_text())["hash"]
+    assert cached in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.mfck"))
+    assert run_cli(*args, "--force") == 0
+    assert (tmp_path / "out" / "t2m_latest.mfck").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "not_json", "two_dirs"])
+def test_train_refuses_unreadable_cache_metadata_exit_2(
+    trained_dir, prepared_dir, toy_corpus, tmp_path, capsys, case
+):
+    """Caches with no readable features.json, or spread over two
+    directories, exit 2 even under the config they were made with."""
+    man = corpus.load_manifest(prepared_dir / "train.jsonl")
+    meta = (prepared_dir / "features" / "features.json").read_bytes()
+    records = []
+    for i, r in enumerate(man.records):
+        d = tmp_path / ("b" if case == "two_dirs" and i % 2 else "a")
+        d.mkdir(exist_ok=True)
+        feats = {}
+        for kind, p in r.features.items():
+            feats[kind] = str(d / Path(p).name)
+            Path(feats[kind]).write_bytes(Path(p).read_bytes())
+        records.append(replace(r, features=feats))
+    for d in {Path(p).parent for r in records for p in r.features.values()}:
+        if case != "missing":
+            (d / "features.json").write_bytes(meta if case == "two_dirs" else b"{hash")
+    corpus.save_manifest(corpus.Manifest(tuple(records)), tmp_path / "train.jsonl")
+    args = _train_args(
+        prepared_dir, toy_corpus, tmp_path / "out", trained_dir / "cfg.json",
+        tmp_path / "train.jsonl",
+    )
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert ("2 directories" if case == "two_dirs" else "features.json") in err, err
+    assert not list((tmp_path / "out").glob("*.mfck"))
+
+
 @pytest.mark.parametrize(
     "section,key,value,named",
     [
@@ -189,20 +246,23 @@ def test_train_refuses_unknown_disc_variant_exit_2(
 
 
 def test_eval_antispoof_unknown_variant_exit_2(toy_corpus, tmp_path, capsys, monkeypatch):
-    """An unknown VARIANT in discriminator:CKPT:VARIANT exits 2, as a
-    malformed backend string does, before any checkpoint is read."""
+    """A backend string that still names a variant exits 2, naming the
+    discriminator:CKPT form, before any checkpoint is read: the variant is
+    the one the checkpoint records."""
 
     def no_read(*args, **kwargs):
-        raise AssertionError("checkpoint read before the variant was checked")
+        raise AssertionError("checkpoint read before the backend string was checked")
 
     monkeypatch.setattr(train, "load_checkpoint", no_read)
-    code = run_cli(
-        "eval-antispoof", "--real", toy_corpus / "spk0", "--synth", toy_corpus / "spk1",
-        "--backend", f"discriminator:{tmp_path / 'ck.mfck'}:3A", "--out", tmp_path / "anti",
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "base, v1, v2" in err and "3A" in err, err
+    for variant in ("3A", "base", "v1"):
+        code = run_cli(
+            "eval-antispoof", "--real", toy_corpus / "spk0", "--synth", toy_corpus / "spk1",
+            "--backend", f"discriminator:{tmp_path / 'ck.mfck'}:{variant}",
+            "--out", tmp_path / "anti",
+        )
+        assert code == 2, variant
+        err = capsys.readouterr().err
+        assert "discriminator:CKPT" in err and variant in err, err
     assert not (tmp_path / "anti" / "report.json").exists()
 
 
@@ -288,6 +348,60 @@ def test_synth_refuses_embedding_size_mismatch_exit_4(
     assert not (tmp_path / "x.wav").exists()
 
 
+@pytest.mark.parametrize("t2m,ssrn", [("ssrn", "t2m"), ("ssrn", "ssrn"), ("t2m", "t2m")])
+def test_synth_refuses_checkpoint_in_wrong_slot_exit_4(
+    trained_dir, toy_corpus, tmp_path, capsys, t2m, ssrn
+):
+    args = _synth_args(trained_dir, toy_corpus, tmp_path)
+    args[args.index("--t2m") + 1] = trained_dir / f"{t2m}_latest.mfck"
+    args[args.index("--ssrn") + 1] = trained_dir / f"{ssrn}_latest.mfck"
+    assert run_cli(*args) == 4
+    assert "checkpoint is for" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
+def _doctor_parameter(src, table, how, dst):
+    """Copy checkpoint ``src`` to ``dst`` with the first parameter of
+    ``table`` removed or given an extra axis; returns its name."""
+    ck = train.load_checkpoint(src)
+    arrays = getattr(ck, table)
+    name = sorted(arrays)[0]
+    if how == "missing":
+        del arrays[name]
+    else:
+        arrays[name] = np.zeros(arrays[name].shape + (2,), dtype=np.float32)
+    train.save_checkpoint(ck, dst)
+    return name
+
+
+@pytest.mark.parametrize("how", ["missing", "misshapen"])
+def test_checkpoint_parameter_missing_or_misshapen_exit_2(
+    trained_dir, toy_corpus, tmp_path, capsys, how
+):
+    """synth (in either slot) and eval-antispoof refuse a checkpoint whose
+    network lacks a parameter or holds one of another shape, naming both."""
+    for slot in ("t2m", "ssrn"):
+        bad = tmp_path / f"{slot}.mfck"
+        name = _doctor_parameter(trained_dir / f"{slot}_latest.mfck", "params", how, bad)
+        args = _synth_args(trained_dir, toy_corpus, tmp_path)
+        args[args.index(f"--{slot}") + 1] = bad
+        capsys.readouterr()
+        assert run_cli(*args) == 2, slot
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(name) in err, err
+    bad = tmp_path / "disc.mfck"
+    name = _doctor_parameter(trained_dir / "ssrn_latest.mfck", "disc_params", how, bad)
+    code = run_cli(
+        "eval-antispoof", "--real", toy_corpus / "spk0", "--synth", toy_corpus / "spk1",
+        "--backend", f"discriminator:{bad}", "--out", tmp_path / "anti",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(name) in err, err
+    assert not (tmp_path / "x.wav").exists()
+    assert not (tmp_path / "anti" / "report.json").exists()
+
+
 BAD_CONFIGS = [
     ("list", [], 2),
     ("section_list", {"train": [1, 2]}, 2),
@@ -346,7 +460,7 @@ def test_doctored_checkpoint_config_exit_2_or_4(trained_dir, prepared_dir, toy_c
         )
         disc = run_cli(
             "eval-antispoof", "--real", toy_corpus / "spk0", "--synth", toy_corpus / "spk1",
-            "--backend", f"discriminator:{bad}:base", "--out", tmp_path / "anti",
+            "--backend", f"discriminator:{bad}", "--out", tmp_path / "anti",
         )
         resume = run_cli(
             "train", "t2m",
@@ -630,28 +744,62 @@ def test_eval_antispoof_identical_sets_eer_half(toy_corpus, tmp_path):
     assert report["eer"] == pytest.approx(0.5, abs=0.05)
 
 
-def test_eval_antispoof_discriminator_backend(trained_dir, toy_corpus, tmp_path):
-    for m in ("t2m", "ssrn"):
-        out = tmp_path / f"anti3_{m}"
-        code = run_cli(
-            "eval-antispoof",
-            "--real", toy_corpus / "spk0",
-            "--synth", toy_corpus / "spk1",
-            "--backend", f"discriminator:{trained_dir / f'{m}_latest.mfck'}:v1",
-            "--out", out,
-        )
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["backend"].endswith(":v1")
-    # v2 needs parameters the base checkpoint lacks -> compatibility exit
-    code = run_cli(
-        "eval-antispoof",
-        "--real", toy_corpus / "spk0",
-        "--synth", toy_corpus / "spk1",
-        "--backend", f"discriminator:{trained_dir / 't2m_latest.mfck'}:v2",
-        "--out", tmp_path / "anti4",
+def _critic_scores(ck, variant, wavs):
+    """Each wav's score under ``model.discriminator_forward`` with the
+    critic of ``ck`` read as ``variant``."""
+    run_cfg = RunConfig.from_dict(ck.config)
+    stage = train.STAGES[ck.model_id]
+    dcfg = model.DiscriminatorConfig(
+        stage.channels(run_cfg.model), run_cfg.train.disc_channels, variant
     )
-    assert code == 4
+    params = {k: Tensor(v) for k, v in ck.disc_params.items()}
+    feats = [dsp.wave_to_features(dsp.read_wav(w), run_cfg.dsp)[stage.feature] for w in wavs]
+    return [float(model.discriminator_forward(f[None], dcfg, params).data[0]) for f in feats]
+
+
+def _antispoof_scores(out):
+    with open(out / "antispoof_scores.csv", newline="", encoding="utf-8") as f:
+        return [float(row["score"]) for row in csv.DictReader(f)]
+
+
+def test_eval_antispoof_discriminator_backend(trained_dir, toy_corpus, tmp_path, capsys):
+    """discriminator:CKPT scores with the critic the checkpoint's config
+    records: the base critic for the trained checkpoints, v1 for one whose
+    config says v1.  A config saying v2 without disc.conv2.* exits 2."""
+    wavs = sorted((toy_corpus / "spk0").rglob("*.wav")) + sorted(
+        (toy_corpus / "spk1").rglob("*.wav")
+    )
+
+    def run(ckpt_path, out):
+        return run_cli(
+            "eval-antispoof", "--real", toy_corpus / "spk0", "--synth", toy_corpus / "spk1",
+            "--backend", f"discriminator:{ckpt_path}", "--out", out,
+        )
+
+    for m in ("t2m", "ssrn"):
+        ck = train.load_checkpoint(trained_dir / f"{m}_latest.mfck")
+        assert ck.config["train"]["disc_variant"] == "base"
+        out = tmp_path / f"anti3_{m}"
+        assert run(trained_dir / f"{m}_latest.mfck", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["backend"] == f"discriminator:{trained_dir / f'{m}_latest.mfck'}"
+        assert report["feature_hash"] == ck.feature_hash
+        assert _antispoof_scores(out) == _critic_scores(ck, "base", wavs)
+    # the same parameters under a config that says v1 are scored as v1
+    ck = train.load_checkpoint(trained_dir / "t2m_latest.mfck")
+    ck.config["train"]["disc_variant"] = "v1"
+    train.save_checkpoint(ck, tmp_path / "v1.mfck")
+    assert run(tmp_path / "v1.mfck", tmp_path / "anti_v1") == 0
+    v1 = _antispoof_scores(tmp_path / "anti_v1")
+    assert v1 == _critic_scores(ck, "v1", wavs)
+    assert v1 != _critic_scores(ck, "base", wavs)
+    # v2 needs parameters the base-trained critic lacks
+    ck.config["train"]["disc_variant"] = "v2"
+    train.save_checkpoint(ck, tmp_path / "v2.mfck")
+    capsys.readouterr()
+    assert run(tmp_path / "v2.mfck", tmp_path / "anti_v2") == 2
+    assert "disc.conv2." in capsys.readouterr().err
+    assert not (tmp_path / "anti_v2" / "report.json").exists()
 
 
 def test_fixture_subcommand(tmp_path):
@@ -678,6 +826,41 @@ def test_env_seed_not_an_integer_exit_2(monkeypatch, tmp_path):
     with pytest.raises(FormatError, match="MELFORGE_SEED"):
         load_config()
     assert run_cli("eval-sv", "--protocol-dir", tmp_path / "proto") == 2
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval-sv"])
+def test_missing_input_file_exit_2(
+    command, trained_dir, prepared_dir, toy_corpus, tiny_cfg_file, tmp_path
+):
+    """A missing input file ends in one error line naming it and exit 2,
+    not a traceback."""
+    missing = tmp_path / "missing"
+    argv = {
+        "synth": _synth_args(trained_dir, toy_corpus, tmp_path),
+        "train": [
+            "train", "t2m", "--manifest", missing,
+            "--embeddings", toy_corpus / "embeddings.mfem", "--out", tmp_path / "out",
+        ],
+        "eval-sv": [
+            "eval-sv", "--protocol-dir", tmp_path / "proto",
+            "--test-manifest", prepared_dir / "test.jsonl",
+            "--synth-manifest", prepared_dir / "test.jsonl",
+            "--embeddings", missing, "--config", tiny_cfg_file,
+        ],
+    }[command]
+    if command == "synth":
+        argv[argv.index("--t2m") + 1] = missing
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "melforge.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    last = out.stderr.splitlines()[-1]
+    assert last.startswith("error:") and str(missing) in last, last
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

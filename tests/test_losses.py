@@ -130,20 +130,13 @@ def test_wgan_generator_loss(rng):
 
 
 def test_combine_losses_balancing():
-    stats = losses.GanBatchStats(mean_recon=2.0, mean_gan=4.0)
-    val = float(losses.combine_losses(Tensor(np.array(2.0)), Tensor(np.array(4.0)), stats).data)
-    assert val == pytest.approx(4.0)
+    total, ratio = losses.combine_losses(Tensor(np.array(2.0)), Tensor(np.array(4.0)))
+    assert float(total.data) == pytest.approx(4.0)
     # ratio times mean_gan equals mean_recon: both terms weigh the same
-    ratio = stats.mean_recon / max(abs(stats.mean_gan), losses.RATIO_GUARD)
-    assert ratio * stats.mean_gan == pytest.approx(stats.mean_recon)
+    assert ratio * 4.0 == pytest.approx(2.0)
     # zero adversarial loss: combination reduces to the reconstruction loss
-    val = float(
-        losses.combine_losses(
-            Tensor(np.array(1.25)), Tensor(np.array(0.0)),
-            losses.GanBatchStats(1.25, 0.0),
-        ).data
-    )
-    assert val == pytest.approx(1.25)
+    total, _ = losses.combine_losses(Tensor(np.array(1.25)), Tensor(np.array(0.0)))
+    assert float(total.data) == pytest.approx(1.25)
 
 
 def test_combine_losses_gradient_uses_fixed_ratio(rng):
@@ -151,10 +144,9 @@ def test_combine_losses_gradient_uses_fixed_ratio(rng):
         p = Tensor(rng.standard_normal(3), requires_grad=True)
         recon = ad.mean(ops.mul(p, p))
         gan = ops.neg(ad.mean(ops.mul(p, 3.0)))
-        stats = losses.GanBatchStats(float(recon.data), float(gan.data))
-        total = losses.combine_losses(recon, gan, stats)
+        total, ratio = losses.combine_losses(recon, gan)
         (g,) = ad.grad(total, [p])
-        ratio = stats.mean_recon / max(abs(stats.mean_gan), losses.RATIO_GUARD)
+        assert ratio == float(recon.data) / max(abs(float(gan.data)), losses.RATIO_GUARD)
         expect = 2 * p.data / 3 + ratio * (-np.ones(3))
         np.testing.assert_allclose(g.data, expect, rtol=1e-10)
 
@@ -170,9 +162,9 @@ def test_combine_losses_gradient_matches_finite_differences(rng):
             return recon, gan, p
 
         recon, gan, p = total_of(p0, None)
-        stats = losses.GanBatchStats(float(recon.data), float(gan.data))
-        ratio = stats.mean_recon / max(abs(stats.mean_gan), losses.RATIO_GUARD)
-        (g,) = ad.grad(losses.combine_losses(recon, gan, stats), [p])
+        total, ratio = losses.combine_losses(recon, gan)
+        assert ratio == float(recon.data) / max(abs(float(gan.data)), losses.RATIO_GUARD)
+        (g,) = ad.grad(total, [p])
         eps = 1e-7
         fd = np.zeros(4)
         for i in range(4):
