@@ -1,9 +1,8 @@
 """Minimal tensor library with taped reverse-mode differentiation.
 
-Each recorded node keeps the VJP of the primitive that made it.  `grad` is
-the one gradient API; with ``create_graph=True`` the backward pass is itself
-recorded, giving exact second-order gradients for every primitive the
-models use.
+Each recorded node keeps the VJP of the primitive that made it, a numpy
+function that records nothing.  `grad` is the one gradient API: a
+first-order reverse sweep over numpy arrays.
 """
 
 from .adam import AdamState, adam_step
@@ -19,16 +18,12 @@ from .nn import (
 from .ops import (
     absval,
     add,
-    broadcast_to,
     clip,
     concat,
     conv_valid,
-    conv_weight_grad,
     div,
     embedding,
     exp,
-    expand_slice,
-    kernel_adjoint,
     log,
     matmul,
     mean,
@@ -38,14 +33,11 @@ from .ops import (
     pad_time,
     pair_sum,
     relu,
-    repeat_pairs,
     reshape,
-    scatter_rows,
     sigmoid,
     softmax,
     sqrt,
     sub,
-    sum_to,
     swapaxes,
     tsum,
 )
@@ -77,16 +69,12 @@ __all__ = [
     "ones_param",
     "absval",
     "add",
-    "broadcast_to",
     "clip",
     "concat",
     "conv_valid",
-    "conv_weight_grad",
     "div",
     "embedding",
     "exp",
-    "expand_slice",
-    "kernel_adjoint",
     "log",
     "matmul",
     "mean",
@@ -96,14 +84,11 @@ __all__ = [
     "pad_time",
     "pair_sum",
     "relu",
-    "repeat_pairs",
     "reshape",
-    "scatter_rows",
     "sigmoid",
     "softmax",
     "sqrt",
     "sub",
-    "sum_to",
     "swapaxes",
     "tsum",
 ]

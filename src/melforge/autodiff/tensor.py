@@ -2,13 +2,11 @@
 
 Every traced operation produces a Tensor that remembers the vector-Jacobian
 product (VJP) of its primitive, its parent tensors and any op-specific
-context.  `grad` walks that graph in reverse topological order exactly once
-per node, calling each node's VJP with the node and its output gradient.
-
-Vector-Jacobian products are themselves built from traced primitives, so
-running the engine with ``create_graph=True`` records the backward
-computation and a second pass differentiates through it.  That is what the
-gradient-penalty term of the critic loss relies on.
+context.  `grad` walks the part of that graph that leads to the requested
+tensors in reverse topological order, once per node, calling each node's
+VJP on numpy arrays.  VJPs record nothing, so the engine is first order;
+the critic's gradient penalty gets its parameter gradient from first-order
+passes (see ``train.critic_update``).
 
 A graph is single-threaded during forward/backward; independent graphs may
 live on different threads (all mode flags are thread-local).
@@ -124,8 +122,9 @@ def make_op_output(
 ) -> Tensor:
     """Wrap an op result, recording the node when tracing is active.
 
-    ``vjp(node, g)`` returns one gradient (or None) per parent; it is the
-    primitive's identity on the tape."""
+    ``vjp(node, g, need)`` returns one gradient array (or None where
+    ``need`` is False) per parent; it is the primitive's identity on the
+    tape."""
     out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -135,14 +134,15 @@ def make_op_output(
     return out
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Interior nodes of the graph, dependencies before dependents."""
+def _live_order(root: Tensor, live: set[int]) -> list[Tensor]:
+    """The interior nodes of the graph that lead to a tensor whose id is in
+    ``live``, dependencies before dependents; ``live`` gains their ids."""
     order: list[Tensor] = []
     seen: set[int] = {id(root)}
     stack: list[tuple[Tensor, int]] = [(root, 0)]
     while stack:
         node, idx = stack[-1]
-        parents = node._parents or ()
+        parents = node._parents
         if idx < len(parents):
             stack[-1] = (node, idx + 1)
             p = parents[idx]
@@ -151,57 +151,32 @@ def _topo_order(root: Tensor) -> list[Tensor]:
                 stack.append((p, 0))
         else:
             stack.pop()
-            order.append(node)
+            if id(node) in live or not live.isdisjoint(map(id, parents)):
+                live.add(id(node))
+                order.append(node)
     return order
 
 
-def _run_backward(
-    loss: Tensor, create_graph: bool, keep: frozenset[int]
-) -> dict[int, tuple[Tensor, Tensor]]:
-    """Reverse sweep.  Returns ``id -> (tensor, grad)`` for leaves and for
-    any interior node whose id is in ``keep``."""
+def grad(loss: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
+    """Gradients of a scalar loss with respect to ``wrt`` tensors, as
+    constant Tensors (zeros for a tensor the loss does not reach).
+
+    One reverse sweep over numpy arrays, through the nodes that lead to a
+    ``wrt`` tensor only: every other branch of the graph is skipped."""
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
     if loss._vjp is None:
         raise ValueError("loss was not recorded on the tape (leaf, constant or no_grad)")
-    from .ops import add
-
-    seed = Tensor(np.ones_like(loss.data))
-    grads: dict[int, tuple[Tensor, Tensor]] = {id(loss): (loss, seed)}
-    order = _topo_order(loss)
-    with set_grad_enabled(create_graph):
-        for node in reversed(order):
-            entry = grads.get(id(node))
-            if entry is None:
-                continue
-            if id(node) not in keep:
-                del grads[id(node)]
-            g = entry[1]
-            pgrads = node._vjp(node, g)
-            for p, pg in zip(node._parents, pgrads):
-                if pg is None or not p.requires_grad:
-                    continue
+    keep = {id(t) for t in wrt}
+    live = {id(t) for t in wrt if t.requires_grad}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(_live_order(loss, live)):
+        g = grads[id(node)] if id(node) in keep else grads.pop(id(node))
+        need = [id(p) in live for p in node._parents]
+        for p, wanted, pg in zip(node._parents, need, node._vjp(node, g, need)):
+            if wanted:
                 acc = grads.get(id(p))
-                grads[id(p)] = (p, pg) if acc is None else (p, add(acc[1], pg))
-    return grads
-
-
-def grad(
-    loss: Tensor,
-    wrt: Sequence[Tensor],
-    create_graph: bool = False,
-) -> list[Tensor]:
-    """Gradients of a scalar loss with respect to ``wrt`` tensors.
-
-    With ``create_graph=True`` the returned gradients are themselves traced
-    tensors, so a further ``grad`` call differentiates through them
-    (second-order gradients).
-    """
-    keep = frozenset(id(t) for t in wrt)
-    grads = _run_backward(loss, create_graph, keep)
-    out = []
-    for t in wrt:
-        entry = grads.get(id(t))
-        out.append(Tensor(np.zeros_like(t.data)) if entry is None else entry[1])
-    return out
-
+                grads[id(p)] = pg if acc is None else acc + pg
+    return [
+        Tensor(grads[id(t)] if id(t) in grads else np.zeros_like(t.data)) for t in wrt
+    ]

@@ -252,6 +252,23 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_enrollment(path: Path) -> dict[str, list[str]]:
+    """A protocol's enrollment.json: speaker -> enrollment utterance ids.
+    Anything else is a ProtocolError naming the file."""
+    try:
+        enrollment = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # bad JSON or bytes that are not UTF-8
+        raise ProtocolError(f"{path}: enrollment is not JSON ({e})") from e
+    if not isinstance(enrollment, dict) or not all(
+        isinstance(utts, list) and all(isinstance(u, str) for u in utts)
+        for utts in enrollment.values()
+    ):
+        raise ProtocolError(
+            f"{path}: enrollment must map each speaker to a list of utterance ids"
+        )
+    return enrollment
+
+
 def cmd_eval_sv(args) -> int:
     cfg = _load_cfg(args)
     pdir = Path(args.protocol_dir)
@@ -260,7 +277,7 @@ def cmd_eval_sv(args) -> int:
     enroll_path = pdir / "enrollment.json"
     if trials_path.exists() and enroll_path.exists():
         trials = ev.read_trial_csv(trials_path)
-        enrollment = json.loads(enroll_path.read_text())
+        enrollment = _read_enrollment(enroll_path)
     else:
         if not (args.test_manifest and args.synth_manifest):
             raise ProtocolError(
@@ -372,7 +389,8 @@ def _lfcc_backend(real_files, synth_files, args):
 
 def _discriminator_backend(real_files, synth_files, spec_str):
     """Scores from the critic in the checkpoint named by ``spec_str``, built
-    as the checkpoint's config records it; also returns its feature hash."""
+    as the checkpoint's config records it and run on features computed
+    with that config, which is echoed; also returns its feature hash."""
     parts = spec_str.split(":")
     if len(parts) != 2 or parts[0] != "discriminator":
         raise CorpusError(
@@ -382,6 +400,7 @@ def _discriminator_backend(real_files, synth_files, spec_str):
     ckpt_path = parts[1]
     ck = train.load_checkpoint(ckpt_path)
     run_cfg = RunConfig.from_dict(ck.config)
+    _echo_config(run_cfg)
     dcfg = train.discriminator_config(ck.model_id, run_cfg)
     params = model.init_discriminator_params(dcfg, np.random.default_rng(0))
     train.restore(params, ck.disc_params, ckpt_path)
@@ -399,15 +418,20 @@ def _discriminator_backend(real_files, synth_files, spec_str):
 
 
 def cmd_eval_antispoof(args) -> int:
-    cfg = _load_cfg(args)
+    critic = args.backend.startswith("discriminator:")
+    if critic and args.config:
+        raise CorpusError(
+            "--config does not apply to --backend discriminator:CKPT: the"
+            " checkpoint's config sets the features its critic scores"
+        )
+    fhash = None if critic else feature_hash(_load_cfg(args).dsp)
     real_files = _wav_list(args.real)
     synth_files = _wav_list(args.synth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fhash = feature_hash(cfg.dsp)
     if args.backend == "gmm-lfcc":
         real_scores, synth_scores = _lfcc_backend(real_files, synth_files, args)
-    elif args.backend.startswith("discriminator:"):
+    elif critic:
         real_scores, synth_scores, fhash = _discriminator_backend(
             real_files, synth_files, args.backend
         )

@@ -153,7 +153,13 @@ def save_manifest(manifest: Manifest, path) -> None:
             )
 
 
+_MANIFEST_STRINGS = ("utterance_id", "speaker_id", "wav", "text")
+
+
 def load_manifest(path) -> Manifest:
+    """The records of a JSON-lines manifest.  A line that is not a JSON
+    object with string ids, ``wav`` and ``text`` and an optional
+    ``features`` object of strings is a `FormatError` naming the line."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
@@ -162,17 +168,22 @@ def load_manifest(path) -> Manifest:
                 continue
             try:
                 d = json.loads(line)
-                records.append(
-                    ManifestRecord(
-                        utterance_id=d["utterance_id"],
-                        speaker_id=d["speaker_id"],
-                        wav=d["wav"],
-                        text=d["text"],
-                        features=d.get("features", {}),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as e:
+            except json.JSONDecodeError as e:
                 raise FormatError(f"{path}:{line_no}: bad manifest line ({e})") from e
+            if not isinstance(d, dict):
+                raise FormatError(f"{path}:{line_no}: bad manifest line (not a JSON object)")
+            for key in _MANIFEST_STRINGS:
+                if not isinstance(d.get(key), str):
+                    what = "missing" if key not in d else "not a string"
+                    raise FormatError(f"{path}:{line_no}: bad manifest line ({key!r} {what})")
+            features = d.get("features", {})
+            if not isinstance(features, dict) or not all(
+                isinstance(v, str) for v in features.values()
+            ):
+                raise FormatError(
+                    f"{path}:{line_no}: bad manifest line ('features' is not an object of strings)"
+                )
+            records.append(ManifestRecord(**{k: d[k] for k in _MANIFEST_STRINGS}, features=features))
     return Manifest(tuple(records))
 
 
@@ -222,7 +233,8 @@ def precompute_features(
 
     Caches are pure functions of (audio bytes, config); a features.json
     with the config hash marks the cache directory, and a hash change
-    invalidates everything.  Unreadable audio skips the record and the run
+    invalidates everything, as does a marker that is not a JSON object
+    holding a hash.  Unreadable audio skips the record and the run
     continues.  Extraction is per-utterance parallel under ``jobs``; the
     outputs are order-independent.
     """
@@ -233,9 +245,9 @@ def precompute_features(
     reuse = False
     if meta_path.exists():
         try:
-            meta = json.loads(meta_path.read_text())
-            reuse = meta.get("hash") == h
-        except (json.JSONDecodeError, OSError):
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            reuse = isinstance(meta, dict) and meta.get("hash") == h
+        except (ValueError, OSError):  # bad JSON or bytes that are not UTF-8
             reuse = False
         if not reuse:
             for stale in out.glob("*.mfrg"):

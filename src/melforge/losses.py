@@ -107,10 +107,10 @@ def wgan_critic_loss(
     """mean(d_fake) - mean(d_real) + gp_weight * mean((sqrt(grad_sq) - 1)^2).
 
     ``grad_sq`` holds each sample's squared norm of the critic's gradient
-    with respect to its interpolated input, shape (B,).  When those norms
-    were computed on the tape from a recorded backward pass, this loss is
-    differentiable end-to-end (second-order gradients flow into the critic
-    parameters).
+    with respect to its interpolated input, shape (B,).  The tape is first
+    order: when ``grad_sq`` is taped from a fixed input gradient, this
+    loss's gradient stops there, and ``train.critic_update`` adds the part
+    that flows through the input gradient itself.
     """
     sq = ad.as_tensor(grad_sq)
     if sq.ndim != 1:

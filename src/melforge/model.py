@@ -8,9 +8,10 @@ adjoint of a stride-2, 2-tap convolution).  Critics are unbounded scalar
 scorers over (mel-)spectrograms; variants v1/v2 drop an average-pooling
 stage / insert an extra convolution.  Every critic starts with a linear
 front (a 2x mean pool, then ``conv_in``'s kernel); ``critic`` bundles the
-front, the body after it and ``discriminator_grad_sq``, which gives the
-gradient penalty its input-gradient norms from the gradient at the front's
-output and the small Gram matrix of ``conv_in``'s kernel.
+front, the body after it, the body's forward-mode tangent and
+``discriminator_grad_sq``, which gives the gradient penalty its
+input-gradient norms from the gradient at the front's output and the small
+Gram matrix of ``conv_in``'s kernel.
 
 Channel widths follow the usual dilated-conv TTS layout scaled by
 ``width_scale``; layer normalization precedes the hidden ReLU activations.
@@ -550,21 +551,26 @@ def ssrn_forward(dmel, params, cfg: ModelConfig):
 
 class Critic(NamedTuple):
     """A critic split where the gradient penalty needs it.  ``front`` is
-    linear in its input and keeps its number of axes; ``body`` maps the front's output to (B,) scores;
+    linear in its input and keeps its number of axes; ``body`` maps the
+    front's output to (B,) scores; ``tangent(z, dz)`` gives the (B,)
+    directional derivatives of the body's scores at ``z`` along ``dz``;
     ``grad_sq(delta, t)`` gives each sample's squared input-gradient norm
     from ``delta``, the gradient of the summed scores at the front's
     output, for inputs of length ``t``."""
 
     front: Callable
     body: Callable
+    tangent: Callable
     grad_sq: Callable
 
 
 def critic(dcfg: DiscriminatorConfig, params) -> Critic:
-    """The critic of ``dcfg`` as front, body and gradient norm."""
+    """The critic of ``dcfg`` as front, body, the body's tangent and
+    gradient norm."""
     return Critic(
         front=lambda spec: discriminator_front(spec, dcfg, params),
         body=lambda z: discriminator_body(z, dcfg, params),
+        tangent=lambda z, dz: discriminator_body(z, dcfg, params, dz)[1],
         grad_sq=lambda delta, t: discriminator_grad_sq(delta, t, params),
     )
 
@@ -585,27 +591,81 @@ def discriminator_front(spec, dcfg: DiscriminatorConfig, params):
     return ops.matmul(ops.reshape(w, w.shape[:2]), _mean_pool2(x))
 
 
-def discriminator_body(z, dcfg: DiscriminatorConfig, params):
+def discriminator_body(z, dcfg: DiscriminatorConfig, params, dz=None):
     """The rest of the critic on the front's output: ``conv_in``'s bias,
-    layer norm and ReLU, then the later stages of ``dcfg.layers()``."""
+    layer norm and ReLU, then the later stages of ``dcfg.layers()``.
+
+    Given ``dz``, a tangent at ``z``, every stage carries the tangent too,
+    and the return is (scores, the scores' directional derivative along
+    ``dz``); the scores take the same operations either way.  Convolutions,
+    pools, the global mean and the head are linear in the tangent, ReLU
+    masks it, and layer norms and highway blocks apply their Jacobians
+    (`_ln_relu`, `_highway_stage`).  Taped, the tangent's gradient is the
+    gradient of <dz, d sum(scores) / dz> at fixed ``dz``."""
+
+    def linear(f, t):  # a stage that is linear in the tangent
+        return None if t is None else f(t)
+
     x = ops.add(z, ops.reshape(params["disc.conv_in.b"], (1, -1, 1)))
-    x = nn.layer_norm(x, params["disc.conv_in.ln_g"], params["disc.conv_in.ln_b"])
-    x = ops.relu(x)
+    x, dx = _ln_relu(params, "disc.conv_in", x, dz)
     for layer in dcfg.layers()[len(_FRONT):]:
+        name = f"disc.{layer}"
         if layer.startswith("hw"):
-            x = _highway(params, f"disc.{layer}", x, dilation=3 if layer == "hw2" else 1)
+            x, dx = _highway_stage(params, name, x, dx, dilation=3 if layer == "hw2" else 1)
         elif layer.startswith("conv"):
-            x = _conv(params, f"disc.{layer}", x, activation=ops.relu)
-        elif layer.startswith("pool"):
-            x = _mean_pool2(x)
-        elif layer == "gpool":
-            x = ops.mean(x, axis=2)  # adaptive average pool over time
-        elif layer == "head":
-            x = ops.add(
-                ops.matmul(x, params["disc.head.w"]),
-                ops.reshape(params["disc.head.b"], (1, 1)),
+            w = params[f"{name}.w"]
+            x, dx = _ln_relu(
+                params, name, nn.conv1d(x, w, params[f"{name}.b"]),
+                linear(lambda t: nn.conv1d(t, w), dx),
             )
-    return ops.reshape(x, (x.shape[0],))
+        elif layer.startswith("pool"):
+            x, dx = _mean_pool2(x), linear(_mean_pool2, dx)
+        elif layer == "gpool":  # adaptive average pool over time
+            x, dx = ops.mean(x, axis=2), linear(lambda t: ops.mean(t, axis=2), dx)
+        elif layer == "head":
+            head = params["disc.head.w"]
+            x = ops.add(ops.matmul(x, head), ops.reshape(params["disc.head.b"], (1, 1)))
+            dx = linear(lambda t: ops.matmul(t, head), dx)
+    scores = ops.reshape(x, (x.shape[0],))
+    return scores if dz is None else (scores, ops.reshape(dx, (dx.shape[0],)))
+
+
+def _ln_relu(params, name, x, dx):
+    """Layer norm ``name`` as ``nn.layer_norm`` computes it, then ReLU, on
+    x and its tangent dx (None: no tangent).  With n = xc / sigma the
+    normalized input, the tangent is gain * (dxc - n * mean(n * dxc)) /
+    sigma, masked by the ReLU."""
+    g = ops.reshape(params[f"{name}.ln_g"], (1, -1, 1))
+    b = ops.reshape(params[f"{name}.ln_b"], (1, -1, 1))
+    xc = ops.sub(x, ops.mean(x, axis=1, keepdims=True))
+    sigma = ops.sqrt(ops.add(ops.mean(ops.mul(xc, xc), axis=1, keepdims=True), 1e-5))
+    n = ops.div(xc, sigma)
+    y = ops.relu(ops.add(ops.mul(n, g), b))
+    if dx is None:
+        return y, None
+    dxc = ops.sub(dx, ops.mean(dx, axis=1, keepdims=True))
+    dn = ops.sub(dxc, ops.mul(n, ops.mean(ops.mul(n, dxc), axis=1, keepdims=True)))
+    mask = Tensor((y.data > 0).astype(y.dtype))
+    return y, ops.mul(ops.mul(g, ops.div(dn, sigma)), mask)
+
+
+def _highway_stage(params, name, x, dx, dilation):
+    """Highway block ``name`` as ``nn.highway_block`` computes it, on x and
+    its tangent dx (None: no tangent).  With h = conv(x) split into h1, h2
+    and gate = sigmoid(h1), the tangent is
+    gate(1-gate) dh1 (h2 - x) + gate dh2 + (1-gate) dx, with dh = conv(dx)
+    without the bias."""
+    w, c = params[f"{name}.w"], x.shape[1]
+    h = nn.conv1d(x, w, params[f"{name}.b"], dilation=dilation)
+    gate, h2 = ops.sigmoid(ops.narrow(h, 1, 0, c)), ops.narrow(h, 1, c, c)
+    rest = ops.sub(1.0, gate)
+    y = ops.add(ops.mul(gate, h2), ops.mul(rest, x))
+    if dx is None:
+        return y, None
+    dh = nn.conv1d(dx, w, dilation=dilation)
+    dgate = ops.mul(ops.mul(gate, rest), ops.narrow(dh, 1, 0, c))
+    dy = ops.add(ops.mul(dgate, ops.sub(h2, x)), ops.mul(gate, ops.narrow(dh, 1, c, c)))
+    return y, ops.add(dy, ops.mul(rest, dx))
 
 
 def discriminator_grad_sq(delta, t: int, params):
@@ -618,7 +678,7 @@ def discriminator_grad_sq(delta, t: int, params):
     and an odd t drops the padded one.  With the c x c Gram matrix
     G = W W^T, ||grad||^2 = 1/2 sum_s delta_s^T G delta_s, less
     1/4 delta_last^T G delta_last when t is odd.  Taped, so the gradient
-    penalty differentiates through it.
+    penalty's loss differentiates through it to ``delta`` and the kernel.
     """
     if delta.ndim != 3 or delta.shape[2] != (t + 1) // 2:
         raise ValueError(f"front gradient of shape {delta.shape} does not fit length {t}")

@@ -6,7 +6,9 @@ predictions) followed by one generator update on the combined
 reconstruction + adversarial objective.  The penalty never forms the
 interpolate or its input-sized gradient: the critic's front is linear, so
 `critic_update` interpolates the front's outputs, differentiates the body
-once on the tape and takes the norms from ``model.discriminator_grad_sq``.
+there and takes the norms from ``model.discriminator_grad_sq``.  The tape
+is first order: the penalty's gradient through that differentiation comes
+from a forward-mode tangent of the body, taped and differentiated once.
 Everything is deterministic given (seed, config, data): batches,
 interpolation draws and parameter initialization all come from one seeded
 generator consumed in a fixed order.
@@ -336,27 +338,43 @@ def critic_update(
     """One WGAN-GP critic step on (B, ...) real and fake batches.
 
     The critic's front is linear, so the front output of the interpolate
-    u*real + (1-u)*fake is u*z_real + (1-u)*z_fake, and the interpolate
-    itself is never formed.  A recorded backward pass through the body
-    gives delta, the gradient at that output, and ``critic.grad_sq`` turns
-    it into each sample's squared input-gradient norm (for the model's
-    critics through the Gram matrix of ``conv_in``'s kernel, never the
-    input-sized gradient).  The penalty's second-order gradients thus reach
-    every critic parameter.  Returns the loss, the Wasserstein estimate,
-    the mean gradient norm and the penalty mean((norm - 1)^2).
+    u*real + (1-u)*fake is z_hat = u*z_real + (1-u)*z_fake, and the
+    interpolate itself is never formed.  Three first-order passes give the
+    loss's exact parameter gradient:
+
+    1. delta, the gradient of the summed body scores at a detached copy of
+       z_hat, which ``critic.grad_sq`` turns into each sample's squared
+       input-gradient norm (for the model's critics through the Gram matrix
+       of ``conv_in``'s kernel, never the input-sized gradient);
+    2. the loss with delta as a leaf: the parameter gradient at fixed delta
+       and v, the loss's gradient with respect to delta;
+    3. the rest, the gradient of <v, delta(params)>.  That inner product is
+       the body's directional derivative at z_hat along v, which
+       ``critic.tangent`` computes forward on the tape, so one more ordinary
+       backward pass differentiates it, through z_hat into the front too.
+
+    Adam takes the sum of passes 2 and 3.  Returns the loss, the
+    Wasserstein estimate, the mean gradient norm and the penalty
+    mean((norm - 1)^2).
     """
     b = real.shape[0]
     u = rng.uniform(size=(b,) + (1,) * (real.ndim - 1)).astype(real.dtype)
     z_real = critic.front(Tensor(real))
     z_fake = critic.front(Tensor(fake))
     z_hat = ad.add(ad.mul(z_real, u), ad.mul(z_fake, 1.0 - u))
-    d_real, d_fake, d_hat = (critic.body(z) for z in (z_real, z_fake, z_hat))
-    (delta,) = ad.grad(ad.tsum(d_hat), [z_hat], create_graph=True)
+    z_leaf = Tensor(z_hat.data, requires_grad=True)
+    (delta,) = ad.grad(ad.tsum(critic.body(z_leaf)), [z_leaf])
+    delta = Tensor(delta.data, requires_grad=True)
+    d_real, d_fake = critic.body(z_real), critic.body(z_fake)
     grad_sq = critic.grad_sq(delta, real.shape[-1])
     loss = losses.wgan_critic_loss(d_real, d_fake, grad_sq, gp_weight)
-    names = list(disc_params)
-    gs = ad.grad(loss, [disc_params[n] for n in names])
-    adam_step(disc_params, {n: g.data for n, g in zip(names, gs)}, opt)
+    names, params = list(disc_params), list(disc_params.values())
+    *gs, v = ad.grad(loss, params + [delta])
+    grads = {n: g.data for n, g in zip(names, gs)}
+    tangent = ad.tsum(critic.tangent(z_hat, v))
+    if tangent.requires_grad:  # else delta does not depend on the parameters
+        grads = {n: grads[n] + g.data for n, g in zip(names, ad.grad(tangent, params))}
+    adam_step(disc_params, grads, opt)
     norms = np.sqrt(grad_sq.data)
     return {
         "critic_loss": float(loss.data),

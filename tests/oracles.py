@@ -5,13 +5,13 @@ exhaustive sweeps, full-prefix recomputation) and shares no code with the
 package internals; ``prefix_decode`` calls only the public model layers,
 ``strided_griffin_lim`` only the framing and overlap-add helpers of
 ``melforge.dsp``, which ``loop_istft`` checks on their own, and
-``taped_critic_update`` only the public autodiff, loss and Adam functions.
+``input_gradient_critic_loss`` only the public autodiff functions.
 """
 
 import numpy as np
 
 from melforge import autodiff as ad
-from melforge import dsp, losses, model
+from melforge import dsp, model
 
 
 def naive_dft(frame: np.ndarray) -> np.ndarray:
@@ -265,26 +265,15 @@ def strided_griffin_lim(mag, iters, win=1024, hop=256, seed=0, momentum=0.99):
     return out, errors, rejected
 
 
-def taped_critic_update(real, fake, disc_forward, disc_params, opt, rng, gp_weight):
-    """WGAN-GP critic step through the full input gradient: the critic
-    runs on real, fake and the interpolate x_hat, and the penalty takes the
-    norm of d sum D(x_hat) / d x_hat from a recorded backward pass.  Same
-    draw of u, loss and Adam step as ``train.critic_update``."""
-    b = real.shape[0]
-    u = rng.uniform(size=(b,) + (1,) * (real.ndim - 1)).astype(real.dtype)
+def input_gradient_critic_loss(real, fake, u, disc_forward, gp_weight):
+    """The WGAN-GP critic loss through the full input gradient, as a float:
+    the critic runs on real, fake and the interpolate x_hat =
+    u*real + (1-u)*fake, and the penalty takes the norm of
+    d sum D(x_hat) / d x_hat from a first-order backward pass."""
     x_hat = ad.Tensor(u * real + (1.0 - u) * fake, requires_grad=True)
-    d_real = disc_forward(ad.Tensor(real))
-    d_fake = disc_forward(ad.Tensor(fake))
-    d_hat = disc_forward(x_hat)
-    (grads_hat,) = ad.grad(ad.tsum(d_hat), [x_hat], create_graph=True)
-    grad_sq = ad.tsum(ad.reshape(ad.mul(grads_hat, grads_hat), (b, -1)), axis=1)
-    loss = losses.wgan_critic_loss(d_real, d_fake, grad_sq, gp_weight)
-    names = list(disc_params)
-    gs = ad.grad(loss, [disc_params[n] for n in names])
-    ad.adam_step(disc_params, {n: g.data for n, g in zip(names, gs)}, opt)
-    norms = np.sqrt(np.sum(grads_hat.data.reshape(b, -1) ** 2, axis=1))
-    return {
-        "critic_loss": float(loss.data),
-        "wasserstein": float(np.mean(d_real.data) - np.mean(d_fake.data)),
-        "grad_norm": float(norms.mean()),
-    }
+    (gx,) = ad.grad(ad.tsum(disc_forward(x_hat)), [x_hat])
+    norms = np.sqrt(np.sum(gx.data.reshape(real.shape[0], -1) ** 2, axis=1))
+    with ad.no_grad():
+        d_real = disc_forward(ad.Tensor(real)).data
+        d_fake = disc_forward(ad.Tensor(fake)).data
+    return float(np.mean(d_fake) - np.mean(d_real) + gp_weight * np.mean((norms - 1.0) ** 2))

@@ -663,6 +663,59 @@ def test_eval_sv_malformed_trials_exit_5(
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b"{not json", b"\xff\xfe", b"[1]", b'{"spk0": "utt1"}', b'{"spk0": [1, 2]}'],
+    ids=["not_json", "not_utf8", "list", "ids_not_a_list", "ids_not_strings"],
+)
+def test_eval_sv_malformed_enrollment_exit_5(
+    content, prepared_dir, tmp_path, tiny_cfg_file, toy_corpus, capsys
+):
+    """An enrollment.json beside trials.csv that is not JSON, or not an
+    object mapping speakers to lists of utterance ids, is refused like a bad
+    trials.csv, where it used to end in a traceback with exit 1."""
+    pdir = tmp_path / "proto"
+    assert run_cli(
+        "eval-sv", "--protocol-dir", pdir,
+        "--test-manifest", prepared_dir / "test.jsonl",
+        "--synth-manifest", prepared_dir / "test.jsonl",
+        "--config", tiny_cfg_file,
+        "--embeddings", toy_corpus / "embeddings.mfem",
+    ) == 0
+    (pdir / "enrollment.json").write_bytes(content)
+    (pdir / "report.json").unlink()
+    capsys.readouterr()
+    code = run_cli(
+        "eval-sv", "--protocol-dir", pdir, "--embeddings", toy_corpus / "embeddings.mfem",
+        "--config", tiny_cfg_file,
+    )
+    assert code == 5
+    assert "enrollment.json: enrollment" in capsys.readouterr().err
+    assert not (pdir / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-sv", "train"])
+def test_ill_shaped_manifest_line_exit_2(
+    command, prepared_dir, tmp_path, tiny_cfg_file, toy_corpus, capsys
+):
+    """A manifest line of the wrong shape exits 2 naming the file and line:
+    a JSON list for eval-sv, a record whose features are a number for
+    train."""
+    first, *_ = (prepared_dir / "train.jsonl").read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    if command == "eval-sv":
+        bad.write_text(first + "\n[1, 2]\n")
+        argv = ["eval-sv", "--protocol-dir", tmp_path / "proto", "--test-manifest", bad,
+                "--synth-manifest", bad, "--embeddings", toy_corpus / "embeddings.mfem"]
+    else:
+        bad.write_text(first + "\n" + json.dumps({**json.loads(first), "features": 5}) + "\n")
+        argv = ["train", "t2m", "--manifest", bad, "--embeddings",
+                toy_corpus / "embeddings.mfem", "--out", tmp_path / "ck"]
+    capsys.readouterr()
+    assert run_cli(*argv, "--config", tiny_cfg_file) == 2
+    assert "bad.jsonl:2: bad manifest line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "flags",
     [("--gmm-components", 0), ("--gmm-components", 100000), ("--gmm-iters", 0)],
     ids=["no_components", "more_components_than_frames", "no_iterations"],
@@ -800,6 +853,28 @@ def test_eval_antispoof_discriminator_backend(trained_dir, toy_corpus, tmp_path,
     assert run(tmp_path / "v2.mfck", tmp_path / "anti_v2") == 2
     assert "disc.conv2." in capsys.readouterr().err
     assert not (tmp_path / "anti_v2" / "report.json").exists()
+
+
+def test_eval_antispoof_discriminator_echoes_checkpoint_config(
+    trained_dir, toy_corpus, tmp_path, tiny_cfg_file, capsys
+):
+    """The discriminator backend computes features with the checkpoint's
+    config, so stderr echoes that config and its hash (not the defaults),
+    and a --config is refused with exit 2, naming the checkpoint."""
+    ckpt = trained_dir / "t2m_latest.mfck"
+    ck = train.load_checkpoint(ckpt)
+    args = [
+        "eval-antispoof", "--real", toy_corpus / "spk0", "--synth", toy_corpus / "spk1",
+        "--backend", f"discriminator:{ckpt}", "--out", tmp_path / "anti",
+    ]
+    capsys.readouterr()
+    assert run_cli(*args) == 0
+    err = capsys.readouterr().err.splitlines()
+    (echo,) = [json.loads(line) for line in err if line.startswith('{"resolved_config"')]
+    assert echo["feature_hash"] == ck.feature_hash
+    assert echo["resolved_config"] == RunConfig.from_dict(ck.config).to_dict()
+    assert run_cli(*args, "--config", tiny_cfg_file) == 2
+    assert "the checkpoint's config" in capsys.readouterr().err
 
 
 def test_fixture_subcommand(tmp_path):

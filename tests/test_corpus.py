@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from melforge import corpus, dsp, fixture
+from melforge.config import feature_hash
 from melforge.corpus import EmbeddingStore, Manifest, ManifestRecord, SplitScheme
 from melforge.errors import CorpusError, FormatError
 
@@ -65,6 +66,38 @@ def test_build_manifest_errors(tmp_path, toy_corpus):
         corpus.build_manifest(dup)
 
 
+_GOOD_LINE = {"utterance_id": "u1", "speaker_id": "s1", "wav": "a.wav", "text": "hi"}
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ([1, 2], "not a JSON object"),
+        ("u1", "not a JSON object"),
+        ({**_GOOD_LINE, "utterance_id": 7}, "'utterance_id' not a string"),
+        ({**_GOOD_LINE, "speaker_id": None}, "'speaker_id' not a string"),
+        ({**_GOOD_LINE, "wav": ["a.wav"]}, "'wav' not a string"),
+        ({**_GOOD_LINE, "text": 3.5}, "'text' not a string"),
+        ({k: v for k, v in _GOOD_LINE.items() if k != "wav"}, "'wav' missing"),
+        ({**_GOOD_LINE, "features": 5}, "'features' is not an object of strings"),
+        ({**_GOOD_LINE, "features": {"mel": 5}}, "'features' is not an object of strings"),
+    ],
+    ids=["list", "string", "id_int", "speaker_null", "wav_list", "text_float",
+         "wav_missing", "features_int", "features_value_int"],
+)
+def test_load_manifest_refuses_ill_shaped_lines(line, expected, tmp_path):
+    """A line of the wrong shape is a FormatError naming the file and line,
+    where it used to surface later as a TypeError or AttributeError."""
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(_GOOD_LINE) + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(FormatError, match=f"m.jsonl:2: bad manifest line") as err:
+        corpus.load_manifest(path)
+    assert expected in str(err.value)
+    path.write_text(json.dumps({**_GOOD_LINE, "features": {"mel": "m.npy"}}) + "\n")
+    (rec,) = corpus.load_manifest(path).records
+    assert rec == ManifestRecord("u1", "s1", "a.wav", "hi", {"mel": "m.npy"})
+
+
 def test_split_scheme_counts():
     man = _fake_manifest(108)
     for name, (n_train, n_test) in (("s1", (42, 66)), ("s2", (60, 48)), ("s3", (88, 20))):
@@ -112,6 +145,26 @@ def test_precompute_features_idempotent(toy_corpus, tmp_path):
     from melforge.config import feature_hash
 
     assert meta["hash"] == feature_hash(fcfg2)
+
+
+@pytest.mark.parametrize(
+    "marker", [b"[1]", b"\xff\xfe{not utf-8", b'{"hash": 5'], ids=["list", "not_utf8", "bad_json"]
+)
+def test_precompute_features_rebuilds_behind_unreadable_marker(marker, toy_corpus, tmp_path):
+    """A features.json that is not a JSON object (or not UTF-8, or not
+    JSON) marks the caches stale: they are rebuilt and the marker
+    rewritten, where a list used to raise AttributeError."""
+    small = Manifest(corpus.build_manifest(toy_corpus).records[:2])
+    fcfg = dsp.FeatureConfig(ref_lin=100.0, ref_mel=200.0)
+    out = tmp_path / "feat"
+    corpus.precompute_features(small, fcfg, out)
+    blobs = {p.name: p.read_bytes() for p in out.glob("*.mfrg")}
+    victim = sorted(out.glob("*.mfrg"))[0]
+    victim.write_bytes(b"not the cache")
+    (out / "features.json").write_bytes(marker)
+    corpus.precompute_features(small, fcfg, out)
+    assert {p.name: p.read_bytes() for p in out.glob("*.mfrg")} == blobs
+    assert json.loads((out / "features.json").read_text())["hash"] == feature_hash(fcfg)
 
 
 def test_cached_features_match_fresh(toy_corpus, tmp_path):

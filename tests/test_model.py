@@ -314,6 +314,34 @@ def test_discriminator_split_and_grad_sq(variant, t, dtype):
             model.discriminator_grad_sq(delta, t + 2, params)
 
 
+@pytest.mark.parametrize("variant", model.DISC_VARIANTS)
+@pytest.mark.parametrize("t", [15, 16])
+def test_discriminator_body_tangent_matches_central_difference(variant, t):
+    """The body's tangent along dz equals the float64 central difference
+    of the scores along dz, and its sum equals <dz, delta> with delta the
+    taped gradient of the summed scores.  Carrying a tangent leaves the
+    scores bit for bit as they are without one."""
+    rng = np.random.default_rng(t)
+    with ad.using_dtype(np.float64):
+        dc = DiscriminatorConfig(in_channels=10, channels=16, variant=variant)
+        params = model.init_discriminator_params(dc, rng)
+        z = model.discriminator_front(Tensor(rng.random((4, 10, t))), dc, params).data
+        dz = rng.standard_normal(z.shape)
+        scores, tangent = model.discriminator_body(Tensor(z), dc, params, Tensor(dz))
+        plain = model.discriminator_body(Tensor(z), dc, params)
+        np.testing.assert_array_equal(scores.data, plain.data)
+        eps = 1e-6
+        with ad.no_grad():
+            up, down = (
+                model.discriminator_body(Tensor(z + s * eps * dz), dc, params).data
+                for s in (1.0, -1.0)
+            )
+        assert max_rel_err(tangent.data, (up - down) / (2 * eps)) <= 1e-7
+        zt = Tensor(z, requires_grad=True)
+        (delta,) = ad.grad(ad.tsum(model.discriminator_body(zt, dc, params)), [zt])
+        assert float(np.sum(tangent.data)) == pytest.approx(float(np.sum(delta.data * dz)), rel=1e-12)
+
+
 def test_t2m_gradient_check_tiny(tiny_model_config, rng):
     """Finite-difference check of the full teacher-forced model on a few
     randomly chosen parameter coordinates."""
