@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _default_dtype, as_tensor
+
+LN_EPS = 1e-5  # layer norm's variance floor; model's step decoder and critic use it too
 
 
 def _batched(x) -> Tensor:
@@ -97,40 +99,34 @@ def highway_block(x, w, b, dilation: int = 1, causal: bool = False) -> Tensor:
     return y
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Per-time-step normalization over channels, then affine (gain, bias
-    are (C,) or (C, 1))."""
+def layer_norm(x, gain, bias) -> Tensor:
+    """Per-time-step normalization over channels, with variance floor
+    ``LN_EPS``, then affine (gain, bias are (C,) or (C, 1))."""
     x = _batched(x)
     gain = ops.reshape(as_tensor(gain), (1, -1, 1))
     bias = ops.reshape(as_tensor(bias), (1, -1, 1))
     mu = ops.mean(x, axis=1, keepdims=True)
     xc = ops.sub(x, mu)
     var = ops.mean(ops.mul(xc, xc), axis=1, keepdims=True)
-    y = ops.div(xc, ops.sqrt(ops.add(var, eps)))
+    y = ops.div(xc, ops.sqrt(ops.add(var, LN_EPS)))
     return ops.add(ops.mul(y, gain), bias)
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization
+# parameter initialization, in the dtype `using_dtype` sets
 # ---------------------------------------------------------------------------
 
 
-def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=None) -> Tensor:
+def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     """Uniform fan-in scaled init, U(-sqrt(3/fan_in), sqrt(3/fan_in))."""
-    from .tensor import _default_dtype
-
     bound = np.sqrt(3.0 / max(fan_in, 1))
-    data = rng.uniform(-bound, bound, size=shape).astype(dtype or _default_dtype())
+    data = rng.uniform(-bound, bound, size=shape).astype(_default_dtype())
     return Tensor(data, requires_grad=True)
 
 
-def zeros_param(shape, dtype=None) -> Tensor:
-    from .tensor import _default_dtype
-
-    return Tensor(np.zeros(shape, dtype=dtype or _default_dtype()), requires_grad=True)
+def zeros_param(shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=_default_dtype()), requires_grad=True)
 
 
-def ones_param(shape, dtype=None) -> Tensor:
-    from .tensor import _default_dtype
-
-    return Tensor(np.ones(shape, dtype=dtype or _default_dtype()), requires_grad=True)
+def ones_param(shape) -> Tensor:
+    return Tensor(np.ones(shape, dtype=_default_dtype()), requires_grad=True)

@@ -5,9 +5,9 @@ Exit codes are a stable contract: 0 success, else the ``exit_code`` of the
 ``errors`` type raised, and 2 for a missing input file.  Networks come
 from checkpoints as in `train --resume`: built at the checkpoint's model
 config, then filled by ``train.restore``.
-Every subcommand is deterministic given (inputs, config, seed); the
-resolved configuration is echoed to stderr and its feature hash embedded
-in all outputs.
+Every subcommand is deterministic given (inputs, config, seed).  Those that
+read a config echo it resolved to stderr and embed its feature hash in their
+outputs; gmm-lfcc `eval-antispoof` reads none and reports a null hash.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = corpus.load_manifest(args.manifest)
     store = corpus.load_embeddings(args.embeddings)
-    samples = train.load_training_samples(manifest, store)
+    _check_speaker_dim(store, cfg.model)
     train.check_model_fits_features(cfg)
+    samples = train.load_training_samples(manifest, store)
     _check_feature_caches(manifest, cfg, args.force)
     resume = None
     if args.resume:
@@ -132,6 +133,15 @@ def cmd_train(args) -> int:
         train.save_checkpoint(last, latest)
         print(f"latest: {latest}")
     return 0
+
+
+def _check_speaker_dim(store, mcfg: model.ModelConfig) -> None:
+    """Refuse a store whose vectors are not ``model.speaker_dim`` wide."""
+    if store.dim != mcfg.speaker_dim:
+        raise CompatibilityError(
+            f"embedding store holds {store.dim}-dim vectors, but"
+            f" model.speaker_dim is {mcfg.speaker_dim}"
+        )
 
 
 def _check_feature_caches(manifest, cfg: RunConfig, force: bool) -> None:
@@ -198,11 +208,7 @@ def cmd_synth(args) -> int:
     store = corpus.load_embeddings(args.embeddings)
     if args.speaker not in store:
         raise CorpusError(f"speaker {args.speaker!r} not in embedding store")
-    if store.dim != mcfg.speaker_dim:
-        raise CompatibilityError(
-            f"embedding store holds {store.dim}-dim vectors, but"
-            f" model.speaker_dim is {mcfg.speaker_dim}"
-        )
+    _check_speaker_dim(store, mcfg)
     spk = store[args.speaker]
     clock = [time.perf_counter()]  # decode start, then the end of each stage
     dmel, att, path = model.t2m_generate(
@@ -384,7 +390,7 @@ def _lfcc_backend(real_files, synth_files, args):
     gmm_real, gmm_synth = gmms
     real_scores = [ev.antispoof_score(x, gmm_real, gmm_synth) for x in real_feats]
     synth_scores = [ev.antispoof_score(x, gmm_real, gmm_synth) for x in synth_feats]
-    return real_scores, synth_scores
+    return real_scores, synth_scores, None  # no feature hash: `dsp.lfcc` reads no config
 
 
 def _discriminator_backend(real_files, synth_files, spec_str):
@@ -418,20 +424,13 @@ def _discriminator_backend(real_files, synth_files, spec_str):
 
 
 def cmd_eval_antispoof(args) -> int:
-    critic = args.backend.startswith("discriminator:")
-    if critic and args.config:
-        raise CorpusError(
-            "--config does not apply to --backend discriminator:CKPT: the"
-            " checkpoint's config sets the features its critic scores"
-        )
-    fhash = None if critic else feature_hash(_load_cfg(args).dsp)
     real_files = _wav_list(args.real)
     synth_files = _wav_list(args.synth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.backend == "gmm-lfcc":
-        real_scores, synth_scores = _lfcc_backend(real_files, synth_files, args)
-    elif critic:
+        real_scores, synth_scores, fhash = _lfcc_backend(real_files, synth_files, args)
+    elif args.backend.startswith("discriminator:"):
         real_scores, synth_scores, fhash = _discriminator_backend(
             real_files, synth_files, args.backend
         )
@@ -534,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     ea.add_argument("--out", required=True)
     ea.add_argument("--gmm-components", type=int, default=64)
     ea.add_argument("--gmm-iters", type=int, default=20)
-    ea.add_argument("--config")
     ea.add_argument("--seed", type=int)
     ea.set_defaults(func=cmd_eval_antispoof)
 

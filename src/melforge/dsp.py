@@ -8,7 +8,8 @@ Features are plain numpy arrays.  `wave_to_features` returns the three grids
 the pipeline learns, keyed by the cache kinds in `FEATURE_KINDS`: "lin", the
 (win//2+1, T) linear spectrogram SSRN predicts; "mel", the (n_mels, T) mel
 spectrogram; and "dmel", the (n_mels, ceil(T/downsample)) mel that Text2Mel
-predicts.  `lfcc` returns a (3*n_coeffs, T) array for the anti-spoofing GMM.
+predicts.  `lfcc` returns a (3*LFCC_COEFFS, T) array for the anti-spoofing GMM,
+under settings fixed in this module: no feature config reaches it.
 
 Conventions:
   * STFT frames are centered: the signal is reflect-padded by win//2 on both
@@ -415,31 +416,31 @@ def dct_ii_ortho(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return scipy.fft.dct(x, type=2, axis=axis, norm="ortho")
 
 
-def lfcc(
-    wave: Waveform,
-    n_coeffs: int = 20,
-    n_filters: int = 20,
-    win_ms: float = 30.0,
-    hop_ms: float = 15.0,
-) -> np.ndarray:
+LFCC_COEFFS = 20  # static coefficients kept, c0 included
+LFCC_FILTERS = 20  # linear-spaced triangular filters
+LFCC_WIN_MS = 30.0
+LFCC_HOP_MS = 15.0
+
+
+def lfcc(wave: Waveform) -> np.ndarray:
     """Linear-frequency cepstral coefficients with delta and delta-delta.
 
-    30 ms / 15 ms framing, linear-spaced triangular filters over log
-    energies, orthonormal DCT-II keeping ``n_coeffs`` statics (incl. c0).
-    Returns a float32 (3 * n_coeffs, T) array: statics, deltas, then
-    delta-deltas.
+    ``LFCC_WIN_MS`` / ``LFCC_HOP_MS`` framing, ``LFCC_FILTERS``
+    linear-spaced triangular filters over log energies, orthonormal DCT-II
+    keeping ``LFCC_COEFFS`` statics (incl. c0).  Returns a float32
+    (3 * LFCC_COEFFS, T) array: statics, deltas, then delta-deltas.
     """
     sr = wave.sample_rate
-    win = max(int(round(win_ms * sr / 1000.0)), 2)
-    hop = max(int(round(hop_ms * sr / 1000.0)), 1)
+    win = max(int(round(LFCC_WIN_MS * sr / 1000.0)), 2)
+    hop = max(int(round(LFCC_HOP_MS * sr / 1000.0)), 1)
     frames = _frames(np.asarray(wave.samples, dtype=np.float64), win, hop)
     spec = np.abs(np.fft.rfft(frames * np.hamming(win), axis=1)) ** 2
     n_bins = spec.shape[1]
-    edges = np.linspace(0.0, sr / 2.0, n_filters + 2)
+    edges = np.linspace(0.0, sr / 2.0, LFCC_FILTERS + 2)
     bin_freqs = np.linspace(0.0, sr / 2.0, n_bins)
     fb = _triangle_rows(edges, bin_freqs)
     energies = np.log(fb @ spec.T + 1e-10)
-    static = dct_ii_ortho(energies, axis=0)[:n_coeffs]
+    static = dct_ii_ortho(energies, axis=0)[:LFCC_COEFFS]
     delta = _delta(static)
     return np.vstack([static, delta, _delta(delta)]).astype(np.float32)
 

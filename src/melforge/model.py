@@ -152,9 +152,11 @@ def _add_highway(params, name, rng, c, k):
     params[f"{name}.b"] = b
 
 
-def _conv(params, name, x, dilation=1, causal=False, activation=None):
+def _conv(params, name, x, activation=None):
+    """1x1 convolution ``name``, then its layer norm and ``activation``.  Output
+    frame t reads input frame t alone, so the layer is causal as it stands."""
     w, b = params[f"{name}.w"], params[f"{name}.b"]
-    y = nn.conv1d(x, w, b, dilation=dilation, causal=causal)
+    y = nn.conv1d(x, w, b)
     if f"{name}.ln_g" in params:
         y = nn.layer_norm(y, params[f"{name}.ln_g"], params[f"{name}.ln_b"])
     if activation is not None:
@@ -308,8 +310,8 @@ def asenc_forward(prev_mel, spk, params, cfg: ModelConfig):
         raise ValueError(
             f"speaker embedding dim {spk_t.shape[-1]}, expected {cfg.speaker_dim}"
         )
-    x = _conv(params, "asenc.c0", x, causal=True, activation=ops.relu)
-    x = _conv(params, "asenc.c1", x, causal=True)
+    x = _conv(params, "asenc.c0", x, activation=ops.relu)
+    x = _conv(params, "asenc.c1", x)
     proj = ops.add(
         ops.matmul(spk_t, ops.swapaxes(params["asenc.spk.w"], 0, 1)),
         ops.reshape(params["asenc.spk.b"], (1, -1)),
@@ -317,7 +319,7 @@ def asenc_forward(prev_mel, spk, params, cfg: ModelConfig):
     x = ops.add(x, ops.reshape(proj, proj.shape + (1,)))
     for i, dil in enumerate(ASENC_DILATIONS):
         x = _highway(params, f"asenc.hw{i}", x, dilation=dil, causal=True)
-    q = _conv(params, "asenc.out", x, causal=True)
+    q = _conv(params, "asenc.out", x)
     if squeeze:
         q = ops.reshape(q, q.shape[1:])
     return q
@@ -348,11 +350,11 @@ def attend(k, v, q, text_mask: np.ndarray | None = None):
 def adec_forward(context_and_q, params, cfg: ModelConfig):
     """Causal decoder over [context; Q] (B, 2d, T) -> mel frames in (0, 1)."""
     x, squeeze = _promote(context_and_q, 2 * cfg.attention_dim)
-    x = _conv(params, "adec.c0", x, causal=True, activation=ops.relu)
+    x = _conv(params, "adec.c0", x, activation=ops.relu)
     for i, dil in enumerate(ADEC_DILATIONS):
         x = _highway(params, f"adec.hw{i}", x, dilation=dil, causal=True)
-    x = _conv(params, "adec.c1", x, causal=True, activation=ops.relu)
-    y = ops.sigmoid(_conv(params, "adec.out", x, causal=True))
+    x = _conv(params, "adec.c1", x, activation=ops.relu)
+    y = ops.sigmoid(_conv(params, "adec.out", x))
     if squeeze:
         y = ops.reshape(y, y.shape[1:])
     return y
@@ -393,7 +395,8 @@ def _step_conv(a, name, x, activation=None):
     if f"{name}.ln_g" in a:  # nn.layer_norm on one column
         inv_c = 1.0 / y.size
         yc = y - y.sum() * inv_c
-        y = yc / np.sqrt((yc * yc).sum() * inv_c + 1e-5) * a[f"{name}.ln_g"] + a[f"{name}.ln_b"]
+        sigma = np.sqrt((yc * yc).sum() * inv_c + nn.LN_EPS)
+        y = yc / sigma * a[f"{name}.ln_g"] + a[f"{name}.ln_b"]
     return activation(y) if activation is not None else y
 
 
@@ -638,7 +641,7 @@ def _ln_relu(params, name, x, dx):
     g = ops.reshape(params[f"{name}.ln_g"], (1, -1, 1))
     b = ops.reshape(params[f"{name}.ln_b"], (1, -1, 1))
     xc = ops.sub(x, ops.mean(x, axis=1, keepdims=True))
-    sigma = ops.sqrt(ops.add(ops.mean(ops.mul(xc, xc), axis=1, keepdims=True), 1e-5))
+    sigma = ops.sqrt(ops.add(ops.mean(ops.mul(xc, xc), axis=1, keepdims=True), nn.LN_EPS))
     n = ops.div(xc, sigma)
     y = ops.relu(ops.add(ops.mul(n, g), b))
     if dx is None:

@@ -51,6 +51,7 @@ from .fileio import atomic_write
 from .model import DiscriminatorConfig
 from .textproc import CharVocab, encode
 
+VOCAB = CharVocab()  # the training vocabulary; checkpoints record its characters
 CKPT_MAGIC = b"MFCK"
 CKPT_VERSION = 2
 # metadata a loaded checkpoint must carry
@@ -247,10 +248,7 @@ class Sample:
     spk: np.ndarray  # (S,)
 
 
-def load_training_samples(
-    manifest: Manifest, store: EmbeddingStore, vocab: CharVocab | None = None
-) -> list[Sample]:
-    vocab = vocab or CharVocab()
+def load_training_samples(manifest: Manifest, store: EmbeddingStore) -> list[Sample]:
     samples = []
     for r in manifest.records:
         if not r.features:
@@ -262,7 +260,7 @@ def load_training_samples(
             Sample(
                 utterance_id=r.utterance_id,
                 speaker_id=r.speaker_id,
-                text_idx=encode(r.text, vocab).indices,
+                text_idx=encode(r.text, VOCAB).indices,
                 dmel=read_feature_cache(r.features["dmel"]),
                 lin=read_feature_cache(r.features["lin"]),
                 spk=store[key].vector,
@@ -517,8 +515,13 @@ def discriminator_config(model_id: str, run_cfg: RunConfig) -> DiscriminatorConf
 
 def check_model_fits_features(run_cfg: RunConfig) -> None:
     """Refuse (CompatibilityError) model settings that cannot fit the
-    feature grids of ``run_cfg.dsp``, naming both keys."""
+    feature grids of ``run_cfg.dsp`` or the characters of `VOCAB`."""
     mcfg, fcfg = run_cfg.model, run_cfg.dsp
+    if mcfg.vocab_size < len(VOCAB):
+        raise CompatibilityError(
+            f"model.vocab_size {mcfg.vocab_size} is smaller than the training"
+            f" vocabulary's {len(VOCAB)} characters"
+        )
     if not mcfg.downsample == fcfg.downsample == model.SSRN_UPSAMPLE:
         raise CompatibilityError(
             f"model.downsample {mcfg.downsample} and dsp.downsample {fcfg.downsample}"
@@ -540,14 +543,14 @@ def check_model_fits_features(run_cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def train_t2m(samples, run_cfg, log_path=None, resume=None, vocab=None):
+def train_t2m(samples, run_cfg, log_path=None, resume=None):
     """Text2Mel training: `train_stage` for "t2m"."""
-    yield from train_stage("t2m", samples, run_cfg, log_path, resume, vocab)
+    yield from train_stage("t2m", samples, run_cfg, log_path, resume)
 
 
-def train_ssrn(samples, run_cfg, log_path=None, resume=None, vocab=None):
+def train_ssrn(samples, run_cfg, log_path=None, resume=None):
     """SSRN training: `train_stage` for "ssrn"."""
-    yield from train_stage("ssrn", samples, run_cfg, log_path, resume, vocab)
+    yield from train_stage("ssrn", samples, run_cfg, log_path, resume)
 
 
 def train_stage(
@@ -556,7 +559,6 @@ def train_stage(
     run_cfg: RunConfig,
     log_path=None,
     resume: Checkpoint | None = None,
-    vocab: CharVocab | None = None,
 ):
     """Train ``STAGES[model_id]``; yields a Checkpoint every
     ``checkpoint_every`` steps and at the end."""
@@ -564,7 +566,6 @@ def train_stage(
     tcfg = run_cfg.train
     mcfg = run_cfg.model
     check_model_fits_features(run_cfg)
-    vocab = vocab or CharVocab()
     rng = np.random.default_rng(tcfg.seed)
     gen_params = stage.init(mcfg, rng)
     dcfg = discriminator_config(model_id, run_cfg)
@@ -612,7 +613,7 @@ def train_stage(
             opt_t=gen_opt.t,
             disc_opt=_opt_tables(disc_opt),
             disc_opt_t=disc_opt.t,
-            vocab=vocab.chars,
+            vocab=VOCAB.chars,
             feature_hash=fhash,
             config=run_cfg.to_dict(),
             rng_state=rng.bit_generator.state,

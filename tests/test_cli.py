@@ -201,14 +201,18 @@ def test_train_refuses_unreadable_cache_metadata_exit_2(
         ("dsp", "n_mels", 40, ("model.n_mels", "dsp.n_mels")),
         ("model", "n_bins", 257, ("model.n_bins", "dsp.win")),
         ("dsp", "win", 512, ("model.n_bins", "dsp.win")),
+        ("model", "vocab_size", 20, ("model.vocab_size", "43 characters")),
+        ("model", "speaker_dim", 256, ("model.speaker_dim", "512-dim")),
     ],
-    ids=["model-2", "model-8", "dsp-8", "dsp-n_mels", "model-n_bins", "dsp-win"],
+    ids=["model-2", "model-8", "dsp-8", "dsp-n_mels", "model-n_bins", "dsp-win",
+         "model-vocab_size", "model-speaker_dim"],
 )
 def test_train_refuses_downsample_ssrn_cannot_restore(
     prepared_dir, toy_corpus, tiny_cfg_file, tmp_path, capsys, section, key, value, named
 ):
-    """Model and feature settings that disagree exit 4 before training,
-    naming both keys."""
+    """Model settings that disagree with the feature settings, the training
+    vocabulary or the embedding store exit 4 before training, naming both
+    sides."""
     cfg = json.loads(tiny_cfg_file.read_text())
     cfg.setdefault(section, {})[key] = value
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -735,8 +739,11 @@ def test_eval_antispoof_bad_gmm_settings_exit_2(flags, toy_corpus, tmp_path, cap
     assert not (tmp_path / "anti" / "report.json").exists()
 
 
-def test_eval_antispoof_gmm_backend(toy_corpus, tmp_path):
+def test_eval_antispoof_gmm_backend(toy_corpus, tmp_path, capsys):
+    """The LFCC settings are fixed in `dsp`, so the report carries no
+    feature hash and no config is echoed."""
     out = tmp_path / "anti"
+    capsys.readouterr()
     code = run_cli(
         "eval-antispoof",
         "--real", toy_corpus / "spk0",
@@ -749,6 +756,8 @@ def test_eval_antispoof_gmm_backend(toy_corpus, tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["eer"] <= 1.0
+    assert report["feature_hash"] is None
+    assert "resolved_config" not in capsys.readouterr().err
     assert (out / "antispoof_scores.csv").exists()
 
 
@@ -859,8 +868,9 @@ def test_eval_antispoof_discriminator_echoes_checkpoint_config(
     trained_dir, toy_corpus, tmp_path, tiny_cfg_file, capsys
 ):
     """The discriminator backend computes features with the checkpoint's
-    config, so stderr echoes that config and its hash (not the defaults),
-    and a --config is refused with exit 2, naming the checkpoint."""
+    config, so stderr echoes that config and its hash (not the defaults).
+    eval-antispoof takes no --config: argparse refuses it with exit 2 for
+    either backend."""
     ckpt = trained_dir / "t2m_latest.mfck"
     ck = train.load_checkpoint(ckpt)
     args = [
@@ -873,8 +883,12 @@ def test_eval_antispoof_discriminator_echoes_checkpoint_config(
     (echo,) = [json.loads(line) for line in err if line.startswith('{"resolved_config"')]
     assert echo["feature_hash"] == ck.feature_hash
     assert echo["resolved_config"] == RunConfig.from_dict(ck.config).to_dict()
-    assert run_cli(*args, "--config", tiny_cfg_file) == 2
-    assert "the checkpoint's config" in capsys.readouterr().err
+    for backend in (f"discriminator:{ckpt}", "gmm-lfcc"):
+        args[args.index("--backend") + 1] = backend
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--config", tiny_cfg_file)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_fixture_subcommand(tmp_path):
