@@ -8,6 +8,11 @@ matmul, which is faster for wide channel counts.  The one upsampler,
 `conv1d_transposed`, doubles the time axis: a 1x1 convolution to 2*C
 channels and a time interleave, the adjoint of a stride-2, 2-tap
 convolution; its kernel is (C_in, C_out, 2).
+
+Given ``dx``, a tangent at ``x``, `layer_norm` and `highway_block` return
+(y, dy), dy taped so a backward pass differentiates it (the critic's
+gradient penalty does).  Every layer norm in the models is followed by a
+ReLU, which ``model._conv`` applies, masking the tangent too.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from . import ops
 from .tensor import Tensor, _default_dtype, as_tensor
 
-LN_EPS = 1e-5  # layer norm's variance floor; model's step decoder and critic use it too
+LN_EPS = 1e-5  # layer norm's variance floor; model's step decoder uses it too
 
 
 def _batched(x) -> Tensor:
@@ -78,11 +83,13 @@ def conv1d_transposed(x, w, b=None) -> Tensor:
     return y
 
 
-def highway_block(x, w, b, dilation: int = 1, causal: bool = False) -> Tensor:
+def highway_block(x, w, b, dilation: int = 1, causal: bool = False, dx=None):
     """Gated residual convolution block.
 
     A single convolution produces 2C channels split into gate input H1 and
-    candidate H2; output = sigmoid(H1) * H2 + (1 - sigmoid(H1)) * x.
+    candidate H2; output = sigmoid(H1) * H2 + (1 - sigmoid(H1)) * x.  With
+    g = sigmoid(H1) and dH = conv(dx) without the bias, the tangent is
+    dy = g (1 - g) dH1 (H2 - x) + g dH2 + (1 - g) dx.
     """
     x = _batched(x)
     c = x.shape[1]
@@ -92,24 +99,34 @@ def highway_block(x, w, b, dilation: int = 1, causal: bool = False) -> Tensor:
             f"highway kernel must have 2*C={2 * c} output channels, got {w.shape[0]}"
         )
     h = conv1d(x, w, b, dilation=dilation, causal=causal)
-    h1 = ops.narrow(h, 1, 0, c)
-    h2 = ops.narrow(h, 1, c, c)
-    gate = ops.sigmoid(h1)
-    y = ops.add(ops.mul(gate, h2), ops.mul(ops.sub(1.0, gate), x))
-    return y
+    gate, h2 = ops.sigmoid(ops.narrow(h, 1, 0, c)), ops.narrow(h, 1, c, c)
+    rest = ops.sub(1.0, gate)
+    y = ops.add(ops.mul(gate, h2), ops.mul(rest, x))
+    if dx is None:
+        return y
+    dh = conv1d(dx, w, dilation=dilation, causal=causal)
+    dgate = ops.mul(ops.mul(gate, rest), ops.narrow(dh, 1, 0, c))
+    dy = ops.add(ops.mul(dgate, ops.sub(h2, x)), ops.mul(gate, ops.narrow(dh, 1, c, c)))
+    return y, ops.add(dy, ops.mul(rest, dx))
 
 
-def layer_norm(x, gain, bias) -> Tensor:
+def layer_norm(x, gain, bias, dx=None):
     """Per-time-step normalization over channels, with variance floor
-    ``LN_EPS``, then affine (gain, bias are (C,) or (C, 1))."""
+    ``LN_EPS``, then affine (gain, bias are (C,) or (C, 1)).  With xc, dxc
+    the channel-centred x, dx and n = xc / sigma, the tangent is
+    dy = gain * (dxc - n * mean(n * dxc)) / sigma."""
     x = _batched(x)
     gain = ops.reshape(as_tensor(gain), (1, -1, 1))
     bias = ops.reshape(as_tensor(bias), (1, -1, 1))
-    mu = ops.mean(x, axis=1, keepdims=True)
-    xc = ops.sub(x, mu)
-    var = ops.mean(ops.mul(xc, xc), axis=1, keepdims=True)
-    y = ops.div(xc, ops.sqrt(ops.add(var, LN_EPS)))
-    return ops.add(ops.mul(y, gain), bias)
+    xc = ops.sub(x, ops.mean(x, axis=1, keepdims=True))
+    sigma = ops.sqrt(ops.add(ops.mean(ops.mul(xc, xc), axis=1, keepdims=True), LN_EPS))
+    n = ops.div(xc, sigma)
+    y = ops.add(ops.mul(n, gain), bias)
+    if dx is None:
+        return y
+    dxc = ops.sub(dx, ops.mean(dx, axis=1, keepdims=True))
+    dn = ops.sub(dxc, ops.mul(n, ops.mean(ops.mul(n, dxc), axis=1, keepdims=True)))
+    return y, ops.mul(gain, ops.div(dn, sigma))
 
 
 # ---------------------------------------------------------------------------

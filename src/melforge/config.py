@@ -60,9 +60,11 @@ class RunConfig:
 
         Raises FormatError when ``d`` or a section is not a JSON object, a
         value has the wrong type (an int is accepted for a float, null only
-        for an optional int, a bool never for a number) or a name outside its
-        choices (``train.disc_variant``), and CompatibilityError naming an
-        unknown section or key (say, one written by a newer version).
+        for an optional int, a bool never for a number), a name outside its
+        choices (``train.disc_variant``) or a ``train.batch_size``,
+        ``checkpoint_every`` or ``log_every`` below 1, and CompatibilityError
+        naming an unknown section or key (say, one written by a newer
+        version).
         """
         if not isinstance(d, dict):
             raise FormatError(f"config must be a JSON object, got {type(d).__name__}")
@@ -93,6 +95,10 @@ class RunConfig:
                     "config key train.disc_variant must be one of"
                     f" {', '.join(DISC_VARIANTS)}, got {values['disc_variant']!r}"
                 )
+            if name == "train":  # a batch stride and two step moduli
+                for key in ("batch_size", "checkpoint_every", "log_every"):
+                    if values.get(key, 1) < 1:
+                        raise FormatError(f"config key train.{key} must be >= 1, got {values[key]}")
             built[name] = section_cls(**values)
         return cls(**built)
 

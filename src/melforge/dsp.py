@@ -158,7 +158,7 @@ def istft(
     return Waveform(out, sample_rate=sample_rate)
 
 
-# STFT frames per Griffin-Lim work block: the unit a worker thread takes.
+# most STFT frames per Griffin-Lim work block, the unit a worker thread takes
 _GL_BLOCK = 128
 
 
@@ -170,6 +170,15 @@ def _gl_workers(n_blocks: int) -> int:
     except AttributeError:  # no affinity API on this platform
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, n_blocks))
+
+
+def _gl_blocks(t_frames: int, n_workers: int) -> list[slice]:
+    """``t_frames`` rows cut into equal blocks of at most ``_GL_BLOCK`` rows
+    (sizes differ by at most one), as many as the least multiple of
+    ``n_workers`` that allows, so every worker gets the same share."""
+    n = -(-t_frames // _GL_BLOCK)
+    n = -(-n // n_workers) * n_workers
+    return [slice(i * t_frames // n, (i + 1) * t_frames // n) for i in range(n)]
 
 
 def griffin_lim(
@@ -206,7 +215,8 @@ def griffin_lim(
     (every SSRN output of >= 64 frames); below that size numpy sums an
     (F, T) error in (F, T) order, so its last bit may differ.
 
-    Threads: the T frames are cut into blocks of ``_GL_BLOCK`` rows.  Each
+    Threads: the T frames are cut into equal blocks of at most
+    ``_GL_BLOCK`` rows, as many as a multiple of the worker count.  Each
     synthesis pass (momentum extrapolation, projection, ``irfft``, window)
     and each analysis pass (framing, window, ``rfft``, ``|spec| - mag``)
     runs block by block on a thread pool as wide as the CPUs the process
@@ -236,9 +246,8 @@ def griffin_lim(
     real = np.empty(mag_tf.shape)  # |spec| and its variants
     work = np.empty(mag_tf.shape, dtype=np.complex128)  # projected spectrum
     specs = [np.empty(mag_tf.shape, dtype=np.complex128) for _ in range(3)]
-    blocks = [
-        slice(i, min(i + _GL_BLOCK, t_frames)) for i in range(0, t_frames, _GL_BLOCK)
-    ]
+    n_workers = _gl_workers(-(-t_frames // _GL_BLOCK))
+    blocks = _gl_blocks(t_frames, n_workers)
 
     def synthesize_rows(rows: slice, spec: np.ndarray, prev) -> None:
         """Rows of ``frames`` from mag * (s / max(|s|, 1e-12)), where s is
@@ -266,7 +275,6 @@ def griffin_lim(
         np.abs(s, out=r)
         np.subtract(r, mag_tf[rows], out=r)
 
-    n_workers = _gl_workers(len(blocks))
     with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
         each = map if pool is None else pool.map
 

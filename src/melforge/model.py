@@ -14,9 +14,10 @@ input-gradient norms from the gradient at the front's output and the small
 Gram matrix of ``conv_in``'s kernel.
 
 Channel widths follow the usual dilated-conv TTS layout scaled by
-``width_scale``; layer normalization precedes the hidden ReLU activations.
-Output-layer biases start negative because normalized spectrogram targets
-are mostly at the floor.
+``width_scale``.  Every layer-normed convolution ends in a ReLU (``_conv``),
+and the output layers in a sigmoid, whose biases start negative because
+normalized spectrogram targets are mostly at the floor.  The critic body's
+tangent runs through the same ``_conv`` and ``_highway`` as every network.
 
 Parameters live in flat name->Tensor dicts so checkpoints and the optimizer
 can treat every model uniformly.
@@ -152,21 +153,33 @@ def _add_highway(params, name, rng, c, k):
     params[f"{name}.b"] = b
 
 
-def _conv(params, name, x, activation=None):
-    """1x1 convolution ``name``, then its layer norm and ``activation``.  Output
-    frame t reads input frame t alone, so the layer is causal as it stands."""
+def _conv(params, name, x, dx=None, kernel=True):
+    """Convolution ``name``, then its layer norm and a ReLU if it has one;
+    given a tangent ``dx`` at ``x``, (y, dy).  The generators' convolutions
+    are 1x1 (output frame t reads input frame t alone, so they are causal
+    as they stand); the critics' ``conv1`` and ``conv2`` are k = 3, padded a
+    frame on each side.  ``kernel=False`` starts at the bias, for the
+    critic's ``conv_in``, whose kernel the critic's front applies."""
     w, b = params[f"{name}.w"], params[f"{name}.b"]
-    y = nn.conv1d(x, w, b)
+    if kernel:
+        y, dy = nn.conv1d(x, w, b), None if dx is None else nn.conv1d(dx, w)
+    else:
+        y, dy = ops.add(x, ops.reshape(b, (1, -1, 1))), dx
     if f"{name}.ln_g" in params:
-        y = nn.layer_norm(y, params[f"{name}.ln_g"], params[f"{name}.ln_b"])
-    if activation is not None:
-        y = activation(y)
-    return y
+        norm = (params[f"{name}.ln_g"], params[f"{name}.ln_b"])
+        if dx is None:
+            y = ops.relu(nn.layer_norm(y, *norm))
+        else:
+            y, dy = nn.layer_norm(y, *norm, dx=dy)
+            y = ops.relu(y)
+            dy = ops.mul(dy, Tensor((y.data > 0).astype(y.dtype)))
+    return y if dx is None else (y, dy)
 
 
-def _highway(params, name, x, dilation=1, causal=False):
+def _highway(params, name, x, dx=None, dilation=1, causal=False):
+    """Highway block ``name``; given a tangent ``dx``, returns (y, dy)."""
     return nn.highway_block(
-        x, params[f"{name}.w"], params[f"{name}.b"], dilation=dilation, causal=causal
+        x, params[f"{name}.w"], params[f"{name}.b"], dilation=dilation, causal=causal, dx=dx
     )
 
 
@@ -280,7 +293,7 @@ def tenc_forward(text_idx, params, cfg: ModelConfig):
         raise ValueError("empty text sequence")
     emb = ops.embedding(params["tenc.emb.w"], idx)  # (B, N, E)
     x = ops.swapaxes(emb, 1, 2)  # (B, E, N)
-    x = _conv(params, "tenc.c0", x, activation=ops.relu)
+    x = _conv(params, "tenc.c0", x)
     x = _conv(params, "tenc.c1", x)
     for i, dil in enumerate(TENC_DILATIONS):
         x = _highway(params, f"tenc.hw{i}", x, dilation=dil)
@@ -310,7 +323,7 @@ def asenc_forward(prev_mel, spk, params, cfg: ModelConfig):
         raise ValueError(
             f"speaker embedding dim {spk_t.shape[-1]}, expected {cfg.speaker_dim}"
         )
-    x = _conv(params, "asenc.c0", x, activation=ops.relu)
+    x = _conv(params, "asenc.c0", x)
     x = _conv(params, "asenc.c1", x)
     proj = ops.add(
         ops.matmul(spk_t, ops.swapaxes(params["asenc.spk.w"], 0, 1)),
@@ -350,10 +363,10 @@ def attend(k, v, q, text_mask: np.ndarray | None = None):
 def adec_forward(context_and_q, params, cfg: ModelConfig):
     """Causal decoder over [context; Q] (B, 2d, T) -> mel frames in (0, 1)."""
     x, squeeze = _promote(context_and_q, 2 * cfg.attention_dim)
-    x = _conv(params, "adec.c0", x, activation=ops.relu)
+    x = _conv(params, "adec.c0", x)
     for i, dil in enumerate(ADEC_DILATIONS):
         x = _highway(params, f"adec.hw{i}", x, dilation=dil, causal=True)
-    x = _conv(params, "adec.c1", x, activation=ops.relu)
+    x = _conv(params, "adec.c1", x)
     y = ops.sigmoid(_conv(params, "adec.out", x))
     if squeeze:
         y = ops.reshape(y, y.shape[1:])
@@ -387,17 +400,17 @@ def t2m_teacher_forced(
     return y, a
 
 
-def _step_conv(a, name, x, activation=None):
-    """One output column of the 1x1 conv ``name`` (then its layer norm and
-    ``activation``) on the input column ``x``."""
+def _step_conv(a, name, x):
+    """One output column of the 1x1 conv ``name`` (then, as in ``_conv``,
+    its layer norm and a ReLU) on the input column ``x``."""
     w = a[f"{name}.w"]
     y = w.reshape(w.shape[0], -1) @ x + a[f"{name}.b"]
     if f"{name}.ln_g" in a:  # nn.layer_norm on one column
         inv_c = 1.0 / y.size
         yc = y - y.sum() * inv_c
         sigma = np.sqrt((yc * yc).sum() * inv_c + nn.LN_EPS)
-        y = yc / sigma * a[f"{name}.ln_g"] + a[f"{name}.ln_b"]
-    return activation(y) if activation is not None else y
+        y = np.maximum(yc / sigma * a[f"{name}.ln_g"] + a[f"{name}.ln_b"], 0)
+    return y
 
 
 class _StepHighway:
@@ -423,10 +436,6 @@ class _StepHighway:
         return gate * h[self.c :] + (1.0 - gate) * x
 
 
-def _relu(x):
-    return np.maximum(x, 0)
-
-
 class _StepDecoder:
     """Tape-free step mode of ``asenc_forward`` and ``adec_forward`` for one
     utterance: ``query`` maps the previous mel frame to Q at step t, and
@@ -447,7 +456,7 @@ class _StepDecoder:
 
     def query(self, prev_frame, t):
         a = self.a
-        x = _step_conv(a, "asenc.c0", prev_frame, _relu)
+        x = _step_conv(a, "asenc.c0", prev_frame)
         x = _step_conv(a, "asenc.c1", x) + self.spk_proj
         for layer in self.asenc:
             x = layer(x, t)
@@ -455,10 +464,10 @@ class _StepDecoder:
 
     def frame(self, context_and_q, t):
         a = self.a
-        x = _step_conv(a, "adec.c0", context_and_q, _relu)
+        x = _step_conv(a, "adec.c0", context_and_q)
         for layer in self.adec:
             x = layer(x, t)
-        x = _step_conv(a, "adec.c1", x, _relu)
+        x = _step_conv(a, "adec.c1", x)
         return scipy.special.expit(_step_conv(a, "adec.out", x))
 
 
@@ -545,7 +554,7 @@ def ssrn_forward(dmel, params, cfg: ModelConfig):
         )
         for i, dil in enumerate(SSRN_BLOCK_DILATIONS):
             x = _highway(params, f"ssrn.post{stage}{i}", x, dilation=dil)
-    x = _conv(params, "ssrn.c1", x, activation=ops.relu)
+    x = _conv(params, "ssrn.c1", x)
     y = ops.sigmoid(_conv(params, "ssrn.out", x))
     if squeeze:
         y = ops.reshape(y, y.shape[1:])
@@ -603,24 +612,22 @@ def discriminator_body(z, dcfg: DiscriminatorConfig, params, dz=None):
     ``dz``); the scores take the same operations either way.  Convolutions,
     pools, the global mean and the head are linear in the tangent, ReLU
     masks it, and layer norms and highway blocks apply their Jacobians
-    (`_ln_relu`, `_highway_stage`).  Taped, the tangent's gradient is the
-    gradient of <dz, d sum(scores) / dz> at fixed ``dz``."""
+    (``nn.layer_norm``, ``nn.highway_block``).  Taped, the tangent's
+    gradient is the gradient of <dz, d sum(scores) / dz> at fixed ``dz``."""
 
     def linear(f, t):  # a stage that is linear in the tangent
         return None if t is None else f(t)
 
-    x = ops.add(z, ops.reshape(params["disc.conv_in.b"], (1, -1, 1)))
-    x, dx = _ln_relu(params, "disc.conv_in", x, dz)
+    def both(out):  # a layer's output and tangent, None without dz
+        return (out, None) if dz is None else out
+
+    x, dx = both(_conv(params, "disc.conv_in", z, dz, kernel=False))
     for layer in dcfg.layers()[len(_FRONT):]:
         name = f"disc.{layer}"
         if layer.startswith("hw"):
-            x, dx = _highway_stage(params, name, x, dx, dilation=3 if layer == "hw2" else 1)
+            x, dx = both(_highway(params, name, x, dx, dilation=3 if layer == "hw2" else 1))
         elif layer.startswith("conv"):
-            w = params[f"{name}.w"]
-            x, dx = _ln_relu(
-                params, name, nn.conv1d(x, w, params[f"{name}.b"]),
-                linear(lambda t: nn.conv1d(t, w), dx),
-            )
+            x, dx = both(_conv(params, name, x, dx))
         elif layer.startswith("pool"):
             x, dx = _mean_pool2(x), linear(_mean_pool2, dx)
         elif layer == "gpool":  # adaptive average pool over time
@@ -631,44 +638,6 @@ def discriminator_body(z, dcfg: DiscriminatorConfig, params, dz=None):
             dx = linear(lambda t: ops.matmul(t, head), dx)
     scores = ops.reshape(x, (x.shape[0],))
     return scores if dz is None else (scores, ops.reshape(dx, (dx.shape[0],)))
-
-
-def _ln_relu(params, name, x, dx):
-    """Layer norm ``name`` as ``nn.layer_norm`` computes it, then ReLU, on
-    x and its tangent dx (None: no tangent).  With n = xc / sigma the
-    normalized input, the tangent is gain * (dxc - n * mean(n * dxc)) /
-    sigma, masked by the ReLU."""
-    g = ops.reshape(params[f"{name}.ln_g"], (1, -1, 1))
-    b = ops.reshape(params[f"{name}.ln_b"], (1, -1, 1))
-    xc = ops.sub(x, ops.mean(x, axis=1, keepdims=True))
-    sigma = ops.sqrt(ops.add(ops.mean(ops.mul(xc, xc), axis=1, keepdims=True), nn.LN_EPS))
-    n = ops.div(xc, sigma)
-    y = ops.relu(ops.add(ops.mul(n, g), b))
-    if dx is None:
-        return y, None
-    dxc = ops.sub(dx, ops.mean(dx, axis=1, keepdims=True))
-    dn = ops.sub(dxc, ops.mul(n, ops.mean(ops.mul(n, dxc), axis=1, keepdims=True)))
-    mask = Tensor((y.data > 0).astype(y.dtype))
-    return y, ops.mul(ops.mul(g, ops.div(dn, sigma)), mask)
-
-
-def _highway_stage(params, name, x, dx, dilation):
-    """Highway block ``name`` as ``nn.highway_block`` computes it, on x and
-    its tangent dx (None: no tangent).  With h = conv(x) split into h1, h2
-    and gate = sigmoid(h1), the tangent is
-    gate(1-gate) dh1 (h2 - x) + gate dh2 + (1-gate) dx, with dh = conv(dx)
-    without the bias."""
-    w, c = params[f"{name}.w"], x.shape[1]
-    h = nn.conv1d(x, w, params[f"{name}.b"], dilation=dilation)
-    gate, h2 = ops.sigmoid(ops.narrow(h, 1, 0, c)), ops.narrow(h, 1, c, c)
-    rest = ops.sub(1.0, gate)
-    y = ops.add(ops.mul(gate, h2), ops.mul(rest, x))
-    if dx is None:
-        return y, None
-    dh = nn.conv1d(dx, w, dilation=dilation)
-    dgate = ops.mul(ops.mul(gate, rest), ops.narrow(dh, 1, 0, c))
-    dy = ops.add(ops.mul(dgate, ops.sub(h2, x)), ops.mul(gate, ops.narrow(dh, 1, c, c)))
-    return y, ops.add(dy, ops.mul(rest, dx))
 
 
 def discriminator_grad_sq(delta, t: int, params):

@@ -46,7 +46,7 @@ from .autodiff import AdamState, Tensor, adam_step
 from .config import RunConfig, feature_hash
 from .corpus import EmbeddingStore, Manifest
 from .dsp import read_feature_cache
-from .errors import CompatibilityError, FormatError, TrainingAborted
+from .errors import CompatibilityError, CorpusError, FormatError, TrainingAborted
 from .fileio import atomic_write
 from .model import DiscriminatorConfig
 from .textproc import CharVocab, encode
@@ -256,6 +256,11 @@ def load_training_samples(manifest: Manifest, store: EmbeddingStore) -> list[Sam
                 f"{r.utterance_id}: manifest has no feature caches; run prepare first"
             )
         key = r.utterance_id if r.utterance_id in store else r.speaker_id
+        if key not in store:
+            raise CorpusError(
+                f"{r.utterance_id}: embedding store has neither this utterance"
+                f" nor its speaker {r.speaker_id!r}"
+            )
         samples.append(
             Sample(
                 utterance_id=r.utterance_id,

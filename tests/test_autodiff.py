@@ -221,6 +221,40 @@ def test_layer_norm_gradients(dtype, eps, tol, rng):
         _check_grads(loss, [x, g, b], eps, tol)
 
 
+def _check_tangent(layer, x, dx):
+    """``layer(x, dx)`` returns ``layer(x)`` bit for bit and a tangent equal
+    to the float64 central difference of ``layer`` along ``dx``."""
+    plain = layer(Tensor(x))
+    y, dy = layer(Tensor(x), Tensor(dx))
+    np.testing.assert_array_equal(y.data, plain.data)
+    eps = 1e-6
+    up, down = (layer(Tensor(x + s * eps * dx)).data for s in (1.0, -1.0))
+    assert max_rel_err(dy.data, (up - down) / (2 * eps)) <= 1e-7
+
+
+def test_layer_norm_tangent_matches_central_difference(rng):
+    g = rng.uniform(0.5, 1.5, 6)
+    b = rng.standard_normal(6)
+    x, dx = rng.standard_normal((2, 2, 6, 9))
+
+    def layer(t, dt=None):
+        return nn.layer_norm(t, Tensor(g), Tensor(b), dx=dt)
+
+    _check_tangent(layer, x, dx)
+
+
+@pytest.mark.parametrize("dilation,causal", [(2, True), (3, False)])
+def test_highway_tangent_matches_central_difference(dilation, causal, rng):
+    w = rng.standard_normal((8, 4, 3))
+    b = rng.standard_normal(8)
+    x, dx = rng.standard_normal((2, 2, 4, 11))
+
+    def layer(t, dt=None):
+        return nn.highway_block(t, Tensor(w), Tensor(b), dilation, causal, dx=dt)
+
+    _check_tangent(layer, x, dx)
+
+
 def test_embedding_gradients(rng):
     with ad.using_dtype(np.float64):
         table = rng.standard_normal((7, 4))

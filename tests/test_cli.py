@@ -137,6 +137,58 @@ def test_train_bad_embedding_key_exit_2(prepared_dir, toy_corpus, tmp_path):
     assert code == 2
 
 
+def test_train_refuses_store_without_a_manifest_speaker_exit_2(
+    trained_dir, prepared_dir, toy_corpus, tmp_path, capsys
+):
+    """A manifest utterance whose id and speaker are both missing from the
+    embedding store exits 2, naming the utterance and the speaker."""
+    full = corpus.load_embeddings(toy_corpus / "embeddings.mfem")
+    store = corpus.EmbeddingStore(full.dim)
+    for key in full.keys():
+        if key.split("_")[0] != "spk1":
+            store.add(key, full[key].vector)
+    corpus.save_embeddings(store, tmp_path / "no_spk1.mfem")
+    code = run_cli(
+        "train", "t2m",
+        "--manifest", prepared_dir / "train.jsonl",
+        "--embeddings", tmp_path / "no_spk1.mfem",
+        "--out", tmp_path / "out", "--config", trained_dir / "cfg.json", "--steps", 1,
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert "spk1_" in err and "'spk1'" in err, err
+    assert not list((tmp_path / "out").glob("*.mfck"))
+
+
+@pytest.mark.parametrize("key", ["batch_size", "checkpoint_every", "log_every"])
+def test_train_settings_below_one_exit_2(
+    key, trained_dir, prepared_dir, toy_corpus, tmp_path, capsys
+):
+    """train.batch_size, checkpoint_every and log_every below 1 are refused
+    with FormatError naming the key, in a config file (exit 2 before any
+    training) and in a checkpoint's config."""
+    with pytest.raises(FormatError, match=f"train.{key}"):
+        RunConfig.from_dict({"train": {key: 0}})
+    cfg = json.loads((trained_dir / "cfg.json").read_text())
+    cfg["train"][key] = 0
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    common = [
+        "train", "t2m",
+        "--manifest", prepared_dir / "train.jsonl",
+        "--embeddings", toy_corpus / "embeddings.mfem",
+        "--out", tmp_path / "out", "--steps", 2,
+    ]
+    assert run_cli(*common, "--config", tmp_path / "cfg.json") == 2
+    assert f"train.{key}" in capsys.readouterr().err.splitlines()[-1]
+    ck = train.load_checkpoint(trained_dir / "t2m_latest.mfck")
+    ck.config["train"][key] = 0
+    train.save_checkpoint(ck, tmp_path / "bad.mfck")
+    resume = [*common, "--config", trained_dir / "cfg.json", "--resume", tmp_path / "bad.mfck"]
+    assert run_cli(*resume) == 2
+    assert f"train.{key}" in capsys.readouterr().err.splitlines()[-1]
+    assert not list((tmp_path / "out").glob("*.mfck"))
+
+
 def _train_args(prepared_dir, toy_corpus, out, cfg, manifest=None):
     return [
         "train", "t2m",
