@@ -115,8 +115,8 @@ def cmd_train(args) -> int:
     store = corpus.load_embeddings(args.embeddings)
     _check_speaker_dim(store, cfg.model)
     train.check_model_fits_features(cfg)
-    samples = train.load_training_samples(manifest, store)
     _check_feature_caches(manifest, cfg, args.force)
+    samples = train.load_training_samples(manifest, store)
     resume = None
     if args.resume:
         resume = train.load_checkpoint(
@@ -146,7 +146,11 @@ def _check_speaker_dim(store, mcfg: model.ModelConfig) -> None:
 
 def _check_feature_caches(manifest, cfg: RunConfig, force: bool) -> None:
     """Refuse training on feature caches made under other feature settings
-    than ``cfg.dsp``, whose hash the checkpoints would carry."""
+    than ``cfg.dsp``, whose hash the checkpoints would carry.  Reads no
+    cache; a record with none is left to `train.load_training_samples`,
+    which says to run prepare."""
+    if not all(r.features for r in manifest.records):
+        return
     dirs = {Path(p).parent for r in manifest.records for p in r.features.values()}
     if len(dirs) != 1:
         raise CorpusError(f"the manifest's feature caches lie in {len(dirs)} directories")
@@ -413,9 +417,7 @@ def _discriminator_backend(real_files, synth_files, spec_str):
     feature = train.STAGES[ck.model_id].feature
 
     def score(path) -> float:
-        wave = dsp.read_wav(path)
-        if wave.sample_rate != run_cfg.dsp.sample_rate:
-            wave = dsp.resample(wave, run_cfg.dsp.sample_rate)
+        wave = dsp.resample(dsp.read_wav(path), run_cfg.dsp.sample_rate)
         spec = dsp.wave_to_features(wave, run_cfg.dsp)[feature]
         with ad.no_grad():
             return float(model.discriminator_forward(spec[None], dcfg, params).data[0])

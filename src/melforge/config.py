@@ -1,8 +1,9 @@
-"""Run configuration: merged defaults <- config file <- flags.
+"""Run configuration: merged defaults <- config file <- MELFORGE_SEED <- flags.
 
 The resolved configuration is serialized into every output's metadata; the
 feature-relevant subset is hashed so checkpoints and caches can refuse
-incompatible inputs.  MELFORGE_SEED overrides the configured seeds.
+incompatible inputs.  MELFORGE_SEED overrides the seeds of the config file,
+and a ``--seed`` flag overrides MELFORGE_SEED.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def feature_hash(cfg: FeatureConfig) -> str:
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Precedence: overrides (flags) > config file > built-in defaults.
+    """Precedence: overrides (flags) > MELFORGE_SEED (both seeds) > config
+    file > built-in defaults.
 
     A config file that cannot be read raises CorpusError, one that is not
     JSON raises FormatError; `RunConfig.from_dict` checks its shape.
@@ -139,9 +141,6 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise FormatError(f"{path}: config file is not JSON ({e})") from e
     cfg = RunConfig.from_dict(data)
-    for section, values in (overrides or {}).items():
-        given = {k: v for k, v in values.items() if v is not None}
-        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **given)})
     env_seed = os.environ.get("MELFORGE_SEED")
     if env_seed is not None:
         try:
@@ -153,4 +152,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             train=replace(cfg.train, seed=seed),
             protocol=replace(cfg.protocol, seed=seed),
         )
+    for section, values in (overrides or {}).items():
+        given = {k: v for k, v in values.items() if v is not None}
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **given)})
     return cfg

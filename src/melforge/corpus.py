@@ -192,20 +192,13 @@ def load_manifest(path) -> Manifest:
 # ---------------------------------------------------------------------------
 
 
-def _load_at_rate(path: str, rate: int) -> dsp.Waveform:
-    wave = dsp.read_wav(path)
-    if wave.sample_rate != rate:
-        wave = dsp.resample(wave, rate)
-    return wave
-
-
 def corpus_reference_levels(
     manifest: Manifest, config: dsp.FeatureConfig
 ) -> tuple[float, float]:
     """Maximum linear/mel magnitudes over the corpus (normalization refs)."""
     ref_lin = ref_mel = 0.0
     for r in manifest.records:
-        wave = _load_at_rate(r.wav, config.sample_rate)
+        wave = dsp.resample(dsp.read_wav(r.wav), config.sample_rate)
         linmag, melmag = dsp.raw_magnitudes(wave, config)
         ref_lin = max(ref_lin, float(linmag.max()))
         ref_mel = max(ref_mel, float(melmag.max()))
@@ -216,7 +209,7 @@ def corpus_reference_levels(
 
 def _extract_one(record: ManifestRecord, config: dsp.FeatureConfig, paths) -> bool:
     try:
-        wave = _load_at_rate(record.wav, config.sample_rate)
+        wave = dsp.resample(dsp.read_wav(record.wav), config.sample_rate)
         grids = dsp.wave_to_features(wave, config)
     except (FormatError, OSError, ValueError) as e:
         log.error("skipping %s: %s", record.wav, e)

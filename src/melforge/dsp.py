@@ -158,27 +158,23 @@ def istft(
     return Waveform(out, sample_rate=sample_rate)
 
 
-# most STFT frames per Griffin-Lim work block, the unit a worker thread takes
-_GL_BLOCK = 128
-
-
-def _gl_workers(n_blocks: int) -> int:
-    """Worker threads for ``n_blocks`` Griffin-Lim blocks: the CPUs this
-    process may run on, at most one per block, at least one."""
+def _gl_workers(t_frames: int) -> int:
+    """Worker threads for Griffin-Lim over ``t_frames`` STFT frames: the
+    CPUs this process may run on, at most one per frame, at least one."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_blocks))
+    return max(1, min(cpus, t_frames))
 
 
 def _gl_blocks(t_frames: int, n_workers: int) -> list[slice]:
-    """``t_frames`` rows cut into equal blocks of at most ``_GL_BLOCK`` rows
-    (sizes differ by at most one), as many as the least multiple of
-    ``n_workers`` that allows, so every worker gets the same share."""
-    n = -(-t_frames // _GL_BLOCK)
-    n = -(-n // n_workers) * n_workers
-    return [slice(i * t_frames // n, (i + 1) * t_frames // n) for i in range(n)]
+    """``t_frames`` rows cut in order into ``n_workers`` contiguous blocks,
+    one per worker, whose sizes differ by at most one."""
+    return [
+        slice(i * t_frames // n_workers, (i + 1) * t_frames // n_workers)
+        for i in range(n_workers)
+    ]
 
 
 def griffin_lim(
@@ -215,18 +211,18 @@ def griffin_lim(
     (every SSRN output of >= 64 frames); below that size numpy sums an
     (F, T) error in (F, T) order, so its last bit may differ.
 
-    Threads: the T frames are cut into equal blocks of at most
-    ``_GL_BLOCK`` rows, as many as a multiple of the worker count.  Each
-    synthesis pass (momentum extrapolation, projection, ``irfft``, window)
-    and each analysis pass (framing, window, ``rfft``, ``|spec| - mag``)
-    runs block by block on a thread pool as wide as the CPUs the process
-    may use (inline with one); numpy releases the GIL inside ufunc loops
-    and its FFTs.  The overlap-add, the division by the window norm and
-    the error norm run serially over the whole arrays once the blocks
-    join.  Every block applies the same per-element operations and the
-    same per-row transforms to its rows, and every reduction still spans
-    the whole array, so the result does not depend on the block size or
-    the worker count, bit for bit.  No thread outlives the call.
+    Threads: there is one worker per CPU the process may use, at most one
+    per frame, and the T frames are cut in order into one block per worker,
+    of sizes that differ by at most one.  Each synthesis pass (momentum
+    extrapolation, projection, ``irfft``, window) and each analysis pass
+    (framing, window, ``rfft``, ``|spec| - mag``) runs block by block on a
+    thread pool of those workers (inline with one); numpy releases the GIL
+    inside ufunc loops and its FFTs.  The overlap-add, the division by the
+    window norm and the error norm run serially over the whole arrays once
+    the blocks join.  Every block applies the same per-element operations
+    and the same per-row transforms to its rows, and every reduction still
+    spans the whole array, so the result does not depend on the worker
+    count, bit for bit.  No thread outlives the call.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
@@ -246,7 +242,7 @@ def griffin_lim(
     real = np.empty(mag_tf.shape)  # |spec| and its variants
     work = np.empty(mag_tf.shape, dtype=np.complex128)  # projected spectrum
     specs = [np.empty(mag_tf.shape, dtype=np.complex128) for _ in range(3)]
-    n_workers = _gl_workers(-(-t_frames // _GL_BLOCK))
+    n_workers = _gl_workers(t_frames)
     blocks = _gl_blocks(t_frames, n_workers)
 
     def synthesize_rows(rows: slice, spec: np.ndarray, prev) -> None:
@@ -466,7 +462,7 @@ def _delta(c: np.ndarray) -> np.ndarray:
 
 def resample(wave: Waveform, target_rate: int) -> Waveform:
     """Rational-ratio polyphase resampling, band-limited below the new
-    Nyquist."""
+    Nyquist; a wave already at ``target_rate`` is returned as it is."""
     if target_rate <= 0:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     if target_rate == wave.sample_rate:

@@ -213,6 +213,25 @@ def test_train_refuses_caches_of_other_feature_settings_exit_4(
     assert (tmp_path / "out" / "t2m_latest.mfck").exists()
 
 
+def test_train_checks_the_cache_hash_before_reading_a_cache(
+    prepared_dir, toy_corpus, tiny_cfg_file, tmp_path, monkeypatch
+):
+    """The feature-hash refusal (exit 4) opens no feature cache."""
+    read, calls = train.read_feature_cache, []
+    monkeypatch.setattr(train, "read_feature_cache", lambda p: calls.append(p) or read(p))
+    assert run_cli(*_train_args(prepared_dir, toy_corpus, tmp_path / "out", tiny_cfg_file)) == 4
+    assert calls == []
+
+
+def test_train_manifest_without_caches_says_run_prepare_exit_2(
+    toy_corpus, tiny_cfg_file, tmp_path, capsys
+):
+    corpus.save_manifest(corpus.build_manifest(toy_corpus), tmp_path / "raw.jsonl")
+    args = _train_args(None, toy_corpus, tmp_path / "out", tiny_cfg_file, tmp_path / "raw.jsonl")
+    assert run_cli(*args) == 2
+    assert "run prepare first" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["missing", "not_json", "two_dirs"])
 def test_train_refuses_unreadable_cache_metadata_exit_2(
     trained_dir, prepared_dir, toy_corpus, tmp_path, capsys, case
@@ -967,6 +986,19 @@ def test_env_seed_not_an_integer_exit_2(monkeypatch, tmp_path):
     with pytest.raises(FormatError, match="MELFORGE_SEED"):
         load_config()
     assert run_cli("eval-sv", "--protocol-dir", tmp_path / "proto") == 2
+
+
+def test_seed_flag_overrides_env_seed(monkeypatch, tmp_path):
+    """defaults < config file < MELFORGE_SEED < --seed."""
+    from melforge.config import load_config
+
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"train": {"seed": 1}, "protocol": {"seed": 1}}))
+    monkeypatch.setenv("MELFORGE_SEED", "5")
+    cfg = load_config(cfg_file, {"train": {"seed": 3}, "protocol": {"seed": 3}})
+    assert (cfg.train.seed, cfg.protocol.seed) == (3, 3)
+    cfg = load_config(cfg_file, {"train": {"seed": None}, "protocol": {}})
+    assert (cfg.train.seed, cfg.protocol.seed) == (5, 5)
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "eval-sv"])

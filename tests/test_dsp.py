@@ -125,9 +125,8 @@ def test_griffin_lim_deterministic(rng):
 
 
 # case -> STFT frames (or None for the tone), win, hop, momentum, whether
-# some momentum steps are rejected.  The >= 128-frame cases span several
-# Griffin-Lim work blocks: "ragged" is three or four blocks (one or two
-# workers) that are not 128 frames long, "two_blocks" two full ones.
+# some momentum steps are rejected.  With more than one CPU, every case but
+# "one_frame" is cut into one Griffin-Lim work block per worker.
 GL_ORACLE_CASES = {
     "tone": (None, 1024, 256, 0.99, False),
     "overshoot": (70, 1024, 256, 1.5, True),
@@ -189,23 +188,33 @@ def test_griffin_lim_same_bytes_for_any_worker_count(momentum, rng, monkeypatch)
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("t_frames", [0, 1, 2])
+def test_griffin_lim_same_bytes_with_fewer_frames_than_workers(t_frames, rng, monkeypatch):
+    """Three workers on at most two frames leave some blocks empty; the
+    waveform and error history are still those of one worker."""
+    mag = rng.random((513, t_frames)) ** 3
+    results = []
+    for workers in (1, 3):
+        monkeypatch.setattr(dsp, "_gl_workers", lambda t, w=workers: w)
+        wave, errors = dsp.griffin_lim(mag, 12, momentum=1.5, return_errors=True)
+        results.append((wave.samples.tobytes(), errors))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize(
-    "t_frames,workers,n_blocks",
-    [(400, 2, 4), (1600, 2, 14), (1600, 1, 13), (300, 3, 3), (129, 2, 2), (128, 1, 1),
-     (100, 1, 1)],
+    "t_frames,workers",
+    [(400, 2), (1600, 2), (1600, 1), (300, 3), (129, 2), (128, 1), (100, 1), (2, 3), (0, 3)],
 )
-def test_griffin_lim_blocks_are_equal_and_fill_the_workers(t_frames, workers, n_blocks):
-    """The frames are cut in order into blocks of at most _GL_BLOCK rows
-    whose sizes differ by at most one, as many as the least multiple of the
-    worker count: 400 frames on two workers are four blocks of 100, not
-    128/128/128/16."""
+def test_griffin_lim_blocks_are_equal_and_fill_the_workers(t_frames, workers):
+    """The frames are cut in order into one block per worker, whose sizes
+    differ by at most one: 400 frames on two workers are two blocks of
+    200, and two frames on three workers leave one block empty."""
     blocks = dsp._gl_blocks(t_frames, workers)
     sizes = [b.stop - b.start for b in blocks]
-    assert len(blocks) == n_blocks
-    assert max(sizes) <= dsp._GL_BLOCK and max(sizes) - min(sizes) <= 1
+    assert len(blocks) == workers
+    assert max(sizes) - min(sizes) <= 1
     assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
     assert blocks[-1].stop == t_frames
-    assert dsp._gl_blocks(0, workers) == []
 
 
 def test_griffin_lim_worker_count():
