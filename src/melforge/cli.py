@@ -116,12 +116,12 @@ def cmd_train(args) -> int:
     _check_speaker_dim(store, cfg.model)
     train.check_model_fits_features(cfg)
     _check_feature_caches(manifest, cfg, args.force)
-    samples = train.load_training_samples(manifest, store)
     resume = None
     if args.resume:
         resume = train.load_checkpoint(
             args.resume, expect_hash=feature_hash(cfg.dsp), force=args.force
         )
+    samples = train.load_training_samples(manifest, store)
     log_path = out / f"{args.model}_log.jsonl"
     last = None
     for last in train.train_stage(args.model, samples, cfg, log_path=log_path, resume=resume):
@@ -299,22 +299,23 @@ def cmd_eval_sv(args) -> int:
         enrollment, trials = ev.build_protocol(test_man, synth_man, cfg.protocol)
         ev.write_trial_csv(trials, trials_path)
         _write_json(enroll_path, enrollment)
+    real = np.asarray(trials.source) == "real"
     classes = {
-        "real target": [t.source == "real" and t.is_target for t in trials],
-        "real non-target": [t.source == "real" and not t.is_target for t in trials],
-        "synthetic": [t.source == "synthetic" for t in trials],
+        "real target": real & trials.is_target,
+        "real non-target": real & ~trials.is_target,
+        "synthetic": ~real,
     }
     for name, mask in classes.items():
-        if not any(mask):
+        if not mask.any():
             raise ProtocolError(f"{trials_path}: trial list has no {name} trials")
     if args.scores:
         score_map = ev.read_score_csv(args.scores)
-        missing = [t.trial_id for t in trials if t.trial_id not in score_map]
+        missing = [t for t in trials.trial_id if t not in score_map]
         if missing:
             raise ProtocolError(
                 f"score CSV missing {len(missing)} trials: " + ", ".join(missing[:10])
             )
-        scores = np.array([score_map[t.trial_id] for t in trials])
+        scores = np.array(list(map(score_map.__getitem__, trials.trial_id)))
     elif args.embeddings:
         store = corpus.load_embeddings(args.embeddings)
         models = {}

@@ -7,6 +7,10 @@ spoof rate and the SR-vs-FRR trade-off curve.  Anti-spoofing baselines:
 a diagonal-covariance GMM likelihood-ratio classifier over cepstral
 features, and the trained critics themselves (whitebox variants).
 
+A trial list is held as parallel columns (`Trials`), from `build_protocol`
+or `read_trial_csv` through `score_trials` to the trial and score CSVs,
+which are each written as one string, quoted as ``csv.writer`` quotes.
+
 Score convention everywhere: higher = more likely target / real.
 """
 
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,19 +30,15 @@ from .fileio import atomic_write
 VAR_FLOOR = 1e-4
 
 
-@dataclass(frozen=True)
-class Trial:
-    trial_id: str
-    claimed_speaker: str
-    utterance_id: str
-    source: str  # "real" | "synthetic"
-    is_target: bool
+class Trials(NamedTuple):
+    """A trial list as parallel columns, one entry per trial.  ``source`` is
+    "real" or "synthetic", and every synthetic trial is a target trial."""
 
-    def __post_init__(self):
-        if self.source not in ("real", "synthetic"):
-            raise ValueError(f"bad trial source {self.source!r}")
-        if self.source == "synthetic" and not self.is_target:
-            raise ValueError("synthetic trials always claim their target identity")
+    trial_id: list[str]
+    claimed_speaker: list[str]
+    utterance_id: list[str]
+    source: list[str]
+    is_target: np.ndarray  # bool
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,16 @@ def build_protocol(
     test_manifest: Manifest,
     synth_manifest: Manifest,
     cfg: ProtocolConfig,
-) -> tuple[dict[str, list[str]], list[Trial]]:
+) -> tuple[dict[str, list[str]], Trials]:
     """Enrollment utterances and the full trial list.
 
     Per test speaker: ``n_enroll`` real utterances are held out for
     enrollment, ``n_target`` real target trials and ``n_synth`` synthetic
     trials are drawn, and every real trial utterance is additionally claimed
     as each other test speaker (non-target trials for EER calibration).
+    Trial ids are ``<kind>-<speaker>-<utterance>``; ids that two trials
+    would share, which speaker or utterance ids holding "-" can cause,
+    raise `ProtocolError`.
     """
     rng = np.random.default_rng(cfg.seed)
     real_by_spk = test_manifest.by_speaker()
@@ -83,25 +87,37 @@ def build_protocol(
 
     enrollment: dict[str, list[str]] = {}
     trial_utts: dict[str, list[str]] = {}
-    trials: list[Trial] = []
+    ids, claimed, utterances, sources, targets = [], [], [], [], []
+
+    def add(kind: str, spk: str, utts: list[str], source: str, target: bool) -> None:
+        prefix = f"{kind}-{spk}-"
+        ids.extend([prefix + u for u in utts])
+        claimed.extend([spk] * len(utts))
+        utterances.extend(utts)
+        sources.extend([source] * len(utts))
+        targets.extend([target] * len(utts))
+
     for spk in speakers:
         utts = sorted(r.utterance_id for r in real_by_spk[spk])
-        picked = list(rng.permutation(utts))
+        picked = rng.permutation(utts).tolist()
         enrollment[spk] = sorted(picked[: cfg.n_enroll])
         trial_utts[spk] = sorted(picked[cfg.n_enroll : cfg.n_enroll + cfg.n_target])
         synth_utts = sorted(r.utterance_id for r in synth_by_spk[spk])
-        synth_picked = sorted(list(rng.permutation(synth_utts))[: cfg.n_synth])
-        for utt in trial_utts[spk]:
-            trials.append(Trial(f"tgt-{spk}-{utt}", spk, utt, "real", True))
-        for utt in synth_picked:
-            trials.append(Trial(f"spf-{spk}-{utt}", spk, utt, "synthetic", True))
+        synth_picked = sorted(rng.permutation(synth_utts).tolist()[: cfg.n_synth])
+        add("tgt", spk, trial_utts[spk], "real", True)
+        add("spf", spk, synth_picked, "synthetic", True)
     for spk in speakers:  # cross-speaker claims over the same trial utterances
         for other in speakers:
-            if other == spk:
-                continue
-            for utt in trial_utts[spk]:
-                trials.append(Trial(f"imp-{other}-{utt}", other, utt, "real", False))
-    return enrollment, trials
+            if other != spk:
+                add("imp", other, trial_utts[spk], "real", False)
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        repeat = next(t for t in ids if t in seen or seen.add(t))
+        raise ProtocolError(
+            f"two trials would get the id {repeat!r}: speaker and utterance ids"
+            " that hold '-' can make trial ids collide"
+        )
+    return enrollment, Trials(ids, claimed, utterances, sources, np.array(targets, dtype=bool))
 
 
 def enroll(embeddings: list[np.ndarray]) -> np.ndarray:
@@ -115,16 +131,6 @@ def enroll(embeddings: list[np.ndarray]) -> np.ndarray:
     return mean / norm
 
 
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, in float64."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("zero-norm embedding in scoring")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def _unit_rows(vectors: list[np.ndarray]) -> np.ndarray:
     """(N, D) float64 stack of the vectors, each scaled to unit norm."""
     m = np.array(vectors, dtype=np.float64)
@@ -136,7 +142,7 @@ def _unit_rows(vectors: list[np.ndarray]) -> np.ndarray:
 
 def score_trials(
     enrollment_models: dict[str, np.ndarray],
-    trials: list[Trial],
+    trials: Trials,
     store: EmbeddingStore,
 ) -> np.ndarray:
     """Cosine similarity of each trial utterance against the claimed
@@ -147,23 +153,24 @@ def score_trials(
     claimed speakers, read out at each trial's (utterance, speaker) pair.
     The protocol claims each real trial utterance as every test speaker, so
     that product holds about as many entries as there are trials.  Equals
-    `cosine_score` per trial to rounding.
+    the per-trial cosine similarity to rounding.
     """
-    missing = [t.trial_id for t in trials if t.utterance_id not in store]
-    if missing:
+    utterance_row = {u: i for i, u in enumerate(dict.fromkeys(trials.utterance_id))}
+    absent = {u for u in utterance_row if u not in store}
+    if absent:
+        missing = [t for t, u in zip(trials.trial_id, trials.utterance_id) if u in absent]
         raise ProtocolError(f"missing embeddings for trials: {', '.join(missing[:10])}"
                             + ("..." if len(missing) > 10 else ""))
-    if not trials:
+    if not utterance_row:
         return np.empty(0)
-    unenrolled = sorted({t.claimed_speaker for t in trials} - set(enrollment_models))
+    speaker_row = {s: i for i, s in enumerate(dict.fromkeys(trials.claimed_speaker))}
+    unenrolled = sorted(set(speaker_row) - set(enrollment_models))
     if unenrolled:
         raise ProtocolError(f"no enrollment model for claimed speakers: {unenrolled[:10]}")
-    speaker_row: dict[str, int] = {}
-    utterance_row: dict[str, int] = {}
-    spk_idx = [speaker_row.setdefault(t.claimed_speaker, len(speaker_row)) for t in trials]
-    utt_idx = [utterance_row.setdefault(t.utterance_id, len(utterance_row)) for t in trials]
     models = _unit_rows([enrollment_models[s] for s in speaker_row])
     embeddings = _unit_rows([store[u].vector for u in utterance_row])
+    utt_idx = list(map(utterance_row.__getitem__, trials.utterance_id))
+    spk_idx = list(map(speaker_row.__getitem__, trials.claimed_speaker))
     return (embeddings @ models.T)[utt_idx, spk_idx]
 
 
@@ -390,14 +397,34 @@ SCORE_FIELDS = ("trial_id", "claimed_speaker", "source", "is_target", "score")
 CURVE_FIELDS = ("threshold", "SR", "FRR", "FAR")
 
 
-def write_score_csv(trials: list[Trial], scores, path) -> None:
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in ',"\r\n')
+
+
+def _quoted(column: list[str]) -> list[str]:
+    """``column`` as ``csv.writer`` writes its fields: one that holds a
+    comma, a double quote, CR or LF goes in double quotes, its own double
+    quotes doubled.  One search over the joined column spares the per-field
+    check in a column that needs no quoting."""
+    if not _needs_quotes("".join(column)):
+        return column
+    return ['"' + v.replace('"', '""') + '"' if _needs_quotes(v) else v for v in column]
+
+
+def _write_rows(path, header: tuple[str, ...], columns) -> None:
+    """A CSV of parallel columns of field text, as ``csv.writer`` writes it
+    (CRLF line ends), built as one string."""
+    lines = map(",".join, zip(*columns))
     with atomic_write(path, newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SCORE_FIELDS)
-        for t, s in zip(trials, scores):
-            writer.writerow(
-                [t.trial_id, t.claimed_speaker, t.source, int(t.is_target), repr(float(s))]
-            )
+        f.write("\r\n".join([",".join(header), *lines, ""]))
+
+
+def write_score_csv(trials: Trials, scores, path) -> None:
+    """Scores in trial order; each score is the ``repr`` of a float."""
+    quoted = map(_quoted, (trials.trial_id, trials.claimed_speaker, trials.source))
+    flags = np.where(trials.is_target, "1", "0").tolist()
+    score_text = map(repr, np.asarray(scores, dtype=np.float64).tolist())
+    _write_rows(path, SCORE_FIELDS, [*quoted, flags, score_text])
 
 
 def read_score_csv(path) -> dict[str, float]:
@@ -440,22 +467,18 @@ def write_curve_csv(points: list[OperatingPoint], path) -> None:
 TRIAL_FIELDS = ("trial_id", "claimed_speaker", "utterance_id", "source", "is_target")
 
 
-def write_trial_csv(trials: list[Trial], path) -> None:
+def write_trial_csv(trials: Trials, path) -> None:
     """Trial list without scores; external systems fill in the score column."""
-    with atomic_write(path, newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRIAL_FIELDS)
-        for t in trials:
-            writer.writerow(
-                [t.trial_id, t.claimed_speaker, t.utterance_id, t.source, int(t.is_target)]
-            )
+    flags = np.where(trials.is_target, "1", "0").tolist()
+    _write_rows(path, TRIAL_FIELDS, [*map(_quoted, trials[:4]), flags])
 
 
-def read_trial_csv(path) -> list[Trial]:
+def read_trial_csv(path) -> Trials:
     """Trials in file order.  A missing column, a repeated trial_id, an
-    is_target other than 0/1 or a bad source raises `ProtocolError` naming
-    the file and line."""
-    trials: list[Trial] = []
+    is_target other than 0/1, a source other than real/synthetic or a
+    synthetic trial that is not a target raises `ProtocolError` naming the
+    file and line."""
+    columns: list[list] = [[] for _ in TRIAL_FIELDS]
     seen: set[str] = set()
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
@@ -466,15 +489,19 @@ def read_trial_csv(path) -> list[Trial]:
             )
         for row in reader:
             where = f"{path}, line {reader.line_num}"
-            trial_id, flag = row["trial_id"], row["is_target"]
+            trial_id, source, flag = row["trial_id"], row["source"], row["is_target"]
             if trial_id in seen:
                 raise ProtocolError(f"{where}: repeated trial_id {trial_id!r}")
             if flag not in ("0", "1"):
                 raise ProtocolError(f"{where}: is_target {flag!r} is not 0 or 1")
-            fields = {k: row[k] for k in TRIAL_FIELDS[:4]}
-            try:
-                trials.append(Trial(**fields, is_target=flag == "1"))
-            except ValueError as e:
-                raise ProtocolError(f"{where}: {e}") from None
+            if source not in ("real", "synthetic"):
+                raise ProtocolError(f"{where}: bad trial source {source!r}")
+            if source == "synthetic" and flag == "0":
+                raise ProtocolError(
+                    f"{where}: synthetic trials always claim their target identity"
+                )
             seen.add(trial_id)
-    return trials
+            for column, field in zip(columns, TRIAL_FIELDS[:4]):
+                column.append(row[field])
+            columns[4].append(flag == "1")
+    return Trials(*columns[:4], np.array(columns[4], dtype=bool))

@@ -5,8 +5,11 @@ exhaustive sweeps, full-prefix recomputation) and shares no code with the
 package internals; ``prefix_decode`` calls only the public model layers,
 ``strided_griffin_lim`` only the framing and overlap-add helpers of
 ``melforge.dsp``, which ``loop_istft`` checks on their own, and
-``input_gradient_critic_loss`` only the public autodiff functions.
+``input_gradient_critic_loss`` only the public autodiff functions.  The
+trial and score CSV writers write row by row through ``csv.writer``.
 """
+
+import csv
 
 import numpy as np
 
@@ -122,6 +125,36 @@ def brute_force_eer(target, nontarget):
             return f0 + s * (frr - f0), float(t0f + s * (thf - t0f))
         prev = (frr, far, th)
     raise AssertionError("no crossing found")
+
+
+def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two vectors, in float64."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        raise ValueError("zero-norm embedding in scoring")
+    return float(np.dot(a, b) / (na * nb))
+
+
+def csv_writer_trial_csv(trials, path) -> None:
+    """A trial CSV of the columns ``trials`` (an ``eval.Trials``), one
+    ``csv.writer`` row per trial."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(("trial_id", "claimed_speaker", "utterance_id", "source", "is_target"))
+        for row in zip(*trials):
+            writer.writerow([*row[:4], int(row[4])])
+
+
+def csv_writer_score_csv(trials, scores, path) -> None:
+    """A score CSV of the columns ``trials`` and ``scores``, one
+    ``csv.writer`` row per trial, each score the ``repr`` of a float."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(("trial_id", "claimed_speaker", "source", "is_target", "score"))
+        for (trial_id, claimed, _, source, is_target), s in zip(zip(*trials), scores):
+            writer.writerow([trial_id, claimed, source, int(is_target), repr(float(s))])
 
 
 def loop_istft(grid: np.ndarray, win: int, hop: int) -> np.ndarray:

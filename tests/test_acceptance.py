@@ -448,23 +448,23 @@ def test_acceptance_protocol_bound():
     test_man = Manifest(tuple(real_records))
     synth_man = Manifest(tuple(synth_records))
     enrollment, trials = ev.build_protocol(test_man, synth_man, cfg)
-    assert sum(t.is_target and t.source == "real" for t in trials) == 400
-    assert sum(t.source == "synthetic" for t in trials) == 400
+    real = np.array(trials.source) == "real"
+    synthetic = np.array(trials.source) == "synthetic"
+    assert np.sum(trials.is_target & real) == 400
+    assert np.sum(synthetic) == 400
 
     models = {spk: ev.enroll([store[u].vector for u in utts]) for spk, utts in enrollment.items()}
 
     def run_with_synth(synth_emb_fn):
-        for t in trials:
-            if t.source == "synthetic" and t.utterance_id not in store:
-                store.add(t.utterance_id, synth_emb_fn(t.claimed_speaker))
-            elif t.source == "synthetic":
-                store._table[t.utterance_id] = model.unit_normalized(
-                    synth_emb_fn(t.claimed_speaker), t.utterance_id
-                )
+        for spk, utt, source in zip(trials.claimed_speaker, trials.utterance_id, trials.source):
+            if source == "synthetic" and utt not in store:
+                store.add(utt, synth_emb_fn(spk))
+            elif source == "synthetic":
+                store._table[utt] = model.unit_normalized(synth_emb_fn(spk), utt)
         scores = ev.score_trials(models, trials, store)
-        target = scores[[t.source == "real" and t.is_target for t in trials]]
-        nontarget = scores[[t.source == "real" and not t.is_target for t in trials]]
-        synth = scores[[t.source == "synthetic" for t in trials]]
+        target = scores[real & trials.is_target]
+        nontarget = scores[real & ~trials.is_target]
+        synth = scores[synthetic]
         eer, thr = ev.compute_eer(target, nontarget)
         far = float(np.mean(nontarget >= thr))
         return ev.spoof_rate(synth, thr), far, eer

@@ -223,6 +223,23 @@ def test_train_checks_the_cache_hash_before_reading_a_cache(
     assert calls == []
 
 
+def test_train_resume_checks_the_checkpoint_hash_before_reading_a_cache(
+    trained_dir, prepared_dir, toy_corpus, tmp_path, monkeypatch, capsys
+):
+    """Resuming from a checkpoint of other feature settings exits 4 before
+    any feature cache is opened."""
+    ck = train.load_checkpoint(trained_dir / "t2m_latest.mfck")
+    ck.feature_hash = "0" * len(ck.feature_hash)
+    other = tmp_path / "other.mfck"
+    train.save_checkpoint(ck, other)
+    read, calls = train.read_feature_cache, []
+    monkeypatch.setattr(train, "read_feature_cache", lambda p: calls.append(p) or read(p))
+    args = _train_args(prepared_dir, toy_corpus, tmp_path / "out", trained_dir / "cfg.json")
+    assert run_cli(*args, "--resume", other) == 4
+    assert f"feature hash {ck.feature_hash} != expected" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_train_manifest_without_caches_says_run_prepare_exit_2(
     toy_corpus, tiny_cfg_file, tmp_path, capsys
 ):

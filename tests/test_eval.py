@@ -1,9 +1,12 @@
 """Evaluation protocol, EER machinery against the exhaustive oracle, curve
 monotonicity, GMM-EM behavior and the CSV interfaces."""
 
+import re
+
 import numpy as np
 import pytest
 
+from melforge import cli, corpus
 from melforge import eval as ev
 from melforge.config import ProtocolConfig
 from melforge.corpus import EmbeddingStore, Manifest, ManifestRecord
@@ -11,7 +14,14 @@ from melforge.errors import ProtocolError
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from oracles import broadcast_gmm_component_ll, brute_force_eer, sweep_sr_frr_far
+from oracles import (
+    broadcast_gmm_component_ll,
+    brute_force_eer,
+    cosine_score,
+    csv_writer_score_csv,
+    csv_writer_trial_csv,
+    sweep_sr_frr_far,
+)
 
 
 def _manifest(speakers, utts, prefix=""):
@@ -24,22 +34,75 @@ def _manifest(speakers, utts, prefix=""):
     return Manifest(tuple(records))
 
 
+def _trials(*rows):
+    """`ev.Trials` from (trial_id, claimed_speaker, utterance_id, source,
+    is_target) rows."""
+    ids, claimed, utts, sources, targets = (list(c) for c in zip(*rows)) if rows else ([],) * 5
+    return ev.Trials(ids, claimed, utts, sources, np.array(targets, dtype=bool))
+
+
+def _assert_same_trials(got, want):
+    assert got[:4] == want[:4]
+    assert got.is_target.dtype == bool
+    np.testing.assert_array_equal(got.is_target, want.is_target)
+
+
 def test_build_protocol_counts_and_exclusion():
     cfg = ProtocolConfig(n_enroll=3, n_target=20, n_synth=20, seed=0)
     test_man = _manifest(4, 30)
     synth_man = _manifest(4, 25, prefix="syn-")
     enrollment, trials = ev.build_protocol(test_man, synth_man, cfg)
-    target = [t for t in trials if t.source == "real" and t.is_target]
-    synth = [t for t in trials if t.source == "synthetic"]
-    nontarget = [t for t in trials if not t.is_target]
-    assert len(target) == 4 * 20
-    assert len(synth) == 4 * 20
-    assert len(nontarget) == 4 * 20 * 3  # each trial utt claimed as 3 others
+    real = np.array(trials.source) == "real"
+    target = real & trials.is_target
+    synth = np.array(trials.source) == "synthetic"
+    nontarget = ~trials.is_target
+    assert len({len(c) for c in trials}) == 1
+    assert target.sum() == 4 * 20
+    assert synth.sum() == 4 * 20
+    assert nontarget.sum() == 4 * 20 * 3  # each trial utt claimed as 3 others
     enrolled = {u for utts in enrollment.values() for u in utts}
-    assert all(t.utterance_id not in enrolled for t in trials)
+    assert all(u not in enrolled for u in trials.utterance_id)
     # determinism
     e2, t2 = ev.build_protocol(test_man, synth_man, cfg)
-    assert e2 == enrollment and t2 == trials
+    assert e2 == enrollment
+    _assert_same_trials(t2, trials)
+
+
+def _colliding_manifests():
+    """Speakers "a" (utterances "b-u<i>") and "a-b" (utterances "u<i>"):
+    with 2 of 3 utterances drawn per speaker, both draw some index i, and
+    "tgt-a-b-u<i>" names a trial of each."""
+    real = [ManifestRecord(f"b-u{i}", "a", f"a{i}.wav", "x") for i in range(3)]
+    real += [ManifestRecord(f"u{i}", "a-b", f"ab{i}.wav", "x") for i in range(3)]
+    synth = [ManifestRecord(f"s-{r.utterance_id}", r.speaker_id, "s.wav", "x") for r in real]
+    return Manifest(tuple(real)), Manifest(tuple(synth))
+
+
+def test_build_protocol_refuses_colliding_trial_ids(tmp_path, capsys):
+    """eval-sv exits 5 naming the id two trials would share, and writes no
+    trials.csv; it used to write one that its next run refused."""
+    test_man, synth_man = _colliding_manifests()
+    cfg = ProtocolConfig(n_enroll=1, n_target=2, n_synth=2, seed=0)
+    with pytest.raises(ProtocolError, match=r"'tgt-a-b-u\d'"):
+        ev.build_protocol(test_man, synth_man, cfg)
+    store = EmbeddingStore(4)
+    for r in (*test_man.records, *synth_man.records):
+        store.add(r.utterance_id, np.arange(1.0, 5.0))
+    corpus.save_manifest(test_man, tmp_path / "test.jsonl")
+    corpus.save_manifest(synth_man, tmp_path / "synth.jsonl")
+    corpus.save_embeddings(store, tmp_path / "emb.mfem")
+    config = tmp_path / "cfg.json"
+    config.write_text('{"protocol": {"n_enroll": 1, "n_target": 2, "n_synth": 2}}')
+    capsys.readouterr()
+    code = cli.main([
+        "eval-sv", "--protocol-dir", str(tmp_path / "proto"),
+        "--test-manifest", str(tmp_path / "test.jsonl"),
+        "--synth-manifest", str(tmp_path / "synth.jsonl"),
+        "--embeddings", str(tmp_path / "emb.mfem"), "--config", str(config),
+    ])
+    assert code == ProtocolError.exit_code == 5
+    assert re.search(r"two trials would get the id 'tgt-a-b-u\d'", capsys.readouterr().err)
+    assert not (tmp_path / "proto" / "trials.csv").exists()
 
 
 def test_build_protocol_shortfall_error():
@@ -64,10 +127,7 @@ def test_score_trials_cosine(rng):
     b = np.array([0, 1.0, 0, 0])
     store.add("u1", a)
     store.add("u2", b)
-    trials = [
-        ev.Trial("t1", "spk", "u1", "real", True),
-        ev.Trial("t2", "spk", "u2", "real", False),
-    ]
+    trials = _trials(("t1", "spk", "u1", "real", True), ("t2", "spk", "u2", "real", False))
     scores = ev.score_trials({"spk": a}, trials, store)
     assert scores[0] == pytest.approx(1.0)
     assert scores[1] == pytest.approx(0.0, abs=1e-7)
@@ -75,9 +135,9 @@ def test_score_trials_cosine(rng):
     for _ in range(20):
         x, y = rng.standard_normal(6), rng.standard_normal(6)
         expect = float(np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)))
-        assert abs(ev.cosine_score(x, y) - expect) <= 1e-6
+        assert abs(cosine_score(x, y) - expect) <= 1e-6
     with pytest.raises(ProtocolError, match="t3"):
-        ev.score_trials({"spk": a}, [ev.Trial("t3", "spk", "zz", "real", True)], store)
+        ev.score_trials({"spk": a}, _trials(("t3", "spk", "zz", "real", True)), store)
 
 
 def test_score_trials_equals_per_trial_cosine_loop(rng):
@@ -89,10 +149,13 @@ def test_score_trials_equals_per_trial_cosine_loop(rng):
         store.add(r.utterance_id, rng.standard_normal(16))
     models = {s: ev.enroll([store[u].vector for u in utts]) for s, utts in enrollment.items()}
     scores = ev.score_trials(models, trials, store)
-    loop = [ev.cosine_score(models[t.claimed_speaker], store[t.utterance_id].vector) for t in trials]
-    assert scores.shape == (len(trials),) and scores.dtype == np.float64
+    loop = [
+        cosine_score(models[s], store[u].vector)
+        for s, u in zip(trials.claimed_speaker, trials.utterance_id)
+    ]
+    assert scores.shape == (len(trials.trial_id),) and scores.dtype == np.float64
     np.testing.assert_allclose(scores, loop, rtol=0, atol=1e-12)
-    assert ev.score_trials(models, [], store).shape == (0,)
+    assert ev.score_trials(models, _trials(), store).shape == (0,)
     with pytest.raises(ValueError, match="zero-norm"):
         ev.score_trials({**models, "spk0": np.zeros(16)}, trials, store)
     with pytest.raises(ProtocolError, match="spk0"):
@@ -310,16 +373,13 @@ def test_antispoof_eer(rng):
 
 
 def test_csv_roundtrips(tmp_path, rng):
-    trials = [
-        ev.Trial("t1", "a", "u1", "real", True),
-        ev.Trial("t2", "b", "u2", "synthetic", True),
-    ]
+    trials = _trials(("t1", "a", "u1", "real", True), ("t2", "b", "u2", "synthetic", True))
     scores = [0.25, -1.5]
     ev.write_score_csv(trials, scores, tmp_path / "s.csv")
     back = ev.read_score_csv(tmp_path / "s.csv")
     assert back == {"t1": 0.25, "t2": -1.5}
     ev.write_trial_csv(trials, tmp_path / "t.csv")
-    assert ev.read_trial_csv(tmp_path / "t.csv") == trials
+    _assert_same_trials(ev.read_trial_csv(tmp_path / "t.csv"), trials)
     pts = ev.sr_frr_curve(rng.standard_normal(5), rng.standard_normal(5), rng.standard_normal(5))
     ev.write_curve_csv(pts, tmp_path / "c.csv")
     lines = (tmp_path / "c.csv").read_text().strip().splitlines()
@@ -343,8 +403,50 @@ def test_read_score_csv_rejects_bad_rows(rows, message, tmp_path):
         ev.read_score_csv(path)
 
 
-def test_synthetic_trials_claim_target():
-    with pytest.raises(ValueError):
-        ev.Trial("x", "a", "u", "synthetic", False)
-    with pytest.raises(ValueError):
-        ev.Trial("x", "a", "u", "weird", True)
+def test_csv_writers_equal_csv_writer_and_read_back(tmp_path, rng):
+    """Ids and speakers holding a comma, a double quote, CR and LF are
+    quoted as csv.writer quotes them, beside the unquoted columns of a
+    built protocol, and read back unchanged."""
+    cfg = ProtocolConfig(n_enroll=2, n_target=4, n_synth=3, seed=1)
+    _, built = ev.build_protocol(_manifest(3, 8), _manifest(3, 4, prefix="syn-"), cfg)
+    odd = _trials(
+        ("a,b", "spk,0", "u,0", "real", True),
+        ('say "hi"', 'the "spk"', 'u"1', "real", False),
+        ("cr\rid", "spk\r", "u\r2", "synthetic", True),
+        ("lf\nid", "spk\n", "u\n3", "real", False),
+    )
+    for name, trials in (("built", built), ("odd", odd), ("empty", _trials())):
+        scores = rng.standard_normal(len(trials.trial_id)) * 1e3
+        ev.write_trial_csv(trials, tmp_path / f"{name}_t.csv")
+        csv_writer_trial_csv(trials, tmp_path / f"{name}_t_oracle.csv")
+        ev.write_score_csv(trials, scores, tmp_path / f"{name}_s.csv")
+        csv_writer_score_csv(trials, scores, tmp_path / f"{name}_s_oracle.csv")
+        for kind in ("t", "s"):
+            got = (tmp_path / f"{name}_{kind}.csv").read_bytes()
+            assert got == (tmp_path / f"{name}_{kind}_oracle.csv").read_bytes(), (name, kind)
+        _assert_same_trials(ev.read_trial_csv(tmp_path / f"{name}_t.csv"), trials)
+        assert ev.read_score_csv(tmp_path / f"{name}_s.csv") == dict(
+            zip(trials.trial_id, scores.tolist())
+        )
+    assert b'"a,b","spk,0","u,0",real,1\r\n' in (tmp_path / "odd_t.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("t2,b,u2,recorded,1", "bad trial source 'recorded'"),
+        ("t2,b,u2,synthetic,0", "synthetic trials always claim their target identity"),
+    ],
+    ids=["bad_source", "synthetic_nontarget"],
+)
+def test_read_trial_csv_refuses_row_exit_5(row, message, tmp_path, capsys):
+    """The two trial checks, named by file and line, end eval-sv with 5."""
+    trials = tmp_path / "trials.csv"
+    trials.write_text(",".join(ev.TRIAL_FIELDS) + "\nt1,a,u1,real,1\n" + row + "\n")
+    (tmp_path / "enrollment.json").write_text('{"a": ["u0"]}')
+    with pytest.raises(ProtocolError, match=f"line 3: {message}"):
+        ev.read_trial_csv(trials)
+    capsys.readouterr()
+    argv = ["eval-sv", "--protocol-dir", str(tmp_path), "--scores", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 5
+    assert f"{trials}, line 3: {message}" in capsys.readouterr().err
