@@ -23,6 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import wave as wave_mod
@@ -434,19 +435,27 @@ def lfcc(wave: Waveform) -> np.ndarray:
     keeping ``LFCC_COEFFS`` statics (incl. c0).  Returns a float32
     (3 * LFCC_COEFFS, T) array: statics, deltas, then delta-deltas.
     """
-    sr = wave.sample_rate
-    win = max(int(round(LFCC_WIN_MS * sr / 1000.0)), 2)
-    hop = max(int(round(LFCC_HOP_MS * sr / 1000.0)), 1)
-    frames = _frames(np.asarray(wave.samples, dtype=np.float64), win, hop)
-    spec = np.abs(np.fft.rfft(frames * np.hamming(win), axis=1)) ** 2
-    n_bins = spec.shape[1]
-    edges = np.linspace(0.0, sr / 2.0, LFCC_FILTERS + 2)
-    bin_freqs = np.linspace(0.0, sr / 2.0, n_bins)
-    fb = _triangle_rows(edges, bin_freqs)
+    hop, window, fb = _lfcc_constants(wave.sample_rate)
+    frames = _frames(np.asarray(wave.samples, dtype=np.float64), window.size, hop)
+    spec = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
     energies = np.log(fb @ spec.T + 1e-10)
     static = dct_ii_ortho(energies, axis=0)[:LFCC_COEFFS]
     delta = _delta(static)
     return np.vstack([static, delta, _delta(delta)]).astype(np.float32)
+
+
+@functools.lru_cache(maxsize=4)
+def _lfcc_constants(sr: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """`lfcc`'s hop, Hamming window and (LFCC_FILTERS, win//2+1) filterbank
+    at sample rate ``sr``, built once per rate; the arrays are read-only."""
+    win = max(int(round(LFCC_WIN_MS * sr / 1000.0)), 2)
+    hop = max(int(round(LFCC_HOP_MS * sr / 1000.0)), 1)
+    edges = np.linspace(0.0, sr / 2.0, LFCC_FILTERS + 2)
+    fb = _triangle_rows(edges, np.linspace(0.0, sr / 2.0, win // 2 + 1))
+    window = np.hamming(win)
+    for a in (window, fb):
+        a.flags.writeable = False
+    return hop, window, fb
 
 
 def _delta(c: np.ndarray) -> np.ndarray:

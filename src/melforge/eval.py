@@ -17,6 +17,7 @@ Score convention everywhere: higher = more likely target / real.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -291,28 +292,60 @@ class DiagonalGmm:
         ``P = 1/var``, so no (N, K, D) array is built.  Data and means are
         first centred on the mean of the means: the expansion subtracts
         terms of size x^2/var, and without centring features far from the
-        origin lose their digits to that cancellation.
+        origin lose their digits to that cancellation.  The elementwise
+        passes run in place on the first product's output, in the order of
+        the expression above.  Far components come out hundreds below each
+        row's peak; `_posteriors` floors them at ``_LOG_FLOOR`` before its
+        exponential, because below about -708 ``np.exp`` and the M-step's
+        matrix products fall onto their slow subnormal paths.
         """
         x = np.atleast_2d(x)
         centre = self.means.mean(axis=0)
         xc = x - centre
         mc = self.means - centre
         prec = 1.0 / self.variances
-        quad = (xc * xc) @ prec.T - 2.0 * (xc @ (mc * prec).T) + np.sum(mc * mc * prec, axis=1)
-        logdet = np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
-        return -0.5 * (quad + logdet[None, :]) + np.log(self.weights)[None, :]
+        out = (xc * xc) @ prec.T
+        cross = xc @ (mc * prec).T
+        cross *= 2.0
+        out -= cross
+        out += np.sum(mc * mc * prec, axis=1)
+        out += np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
+        out *= -0.5
+        out += np.log(self.weights)
+        return out
 
     def log_likelihood(self, x: np.ndarray) -> np.ndarray:
         """(N,) per-point log likelihood."""
         return _posteriors(self.component_log_likelihood(x))[0]
 
 
+# peak-shifted log-likelihoods below this get no responsibility: e^-700 is
+# about 1e-304, still normal, and exp of anything below -708.4 is subnormal
+_LOG_FLOOR = -700.0
+
+
 def _posteriors(comp_ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(N,) log-sum-exp over components and the (N, K) responsibilities,
     from one exponential of the (N, K) log-likelihoods shifted by their
-    per-row peak."""
+    per-row peak.
+
+    Shifted values below ``_LOG_FLOOR`` are clamped to it before the
+    exponential and their responsibilities set to exactly 0.  In an EM fit
+    most of them lie below -708; there ``np.exp`` leaves its SIMD path,
+    and the subnormal responsibilities it would return slow down the
+    M-step's matrix products as well.  The bytes do not change: each row
+    holds its peak's term of 1, so its mass is at least 1, and a dropped
+    term is below e^-700 relative to that peak, far under half an ulp of
+    the mass, so the mass and the log-sum-exp round to the same doubles.
+    A kept responsibility is at least e^-700 / K, a normal double for K
+    below about 4,400 components.
+    """
     peak = comp_ll.max(axis=1, keepdims=True)
-    resp = np.exp(comp_ll - peak)
+    resp = comp_ll - peak
+    dropped = resp < _LOG_FLOOR
+    np.maximum(resp, _LOG_FLOOR, out=resp)
+    np.exp(resp, out=resp)
+    resp[dropped] = 0.0
     mass = resp.sum(axis=1, keepdims=True)
     resp /= mass
     return (peak + np.log(mass))[:, 0], resp
@@ -331,9 +364,11 @@ def gmm_fit_em(
     within numerical tolerance).  Each E-step takes the centred
     matrix-product log-likelihoods of `DiagonalGmm.component_log_likelihood`
     and one exponential, shifted by each point's peak, for both the
-    log-sum-exp and the responsibilities.  Components that lose all
-    responsibility mass are re-seeded at the globally worst-fit point.
-    Everything is float64.
+    log-sum-exp and the responsibilities; `_posteriors` drops components
+    below ``_LOG_FLOOR`` of the peak, which keeps the exponential and the
+    M-step's products off their subnormal slow paths without changing the
+    fit.  Components that lose all responsibility mass are re-seeded at the
+    globally worst-fit point.  Everything is float64.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -351,6 +386,7 @@ def gmm_fit_em(
         means=x[idx].copy(),
         variances=np.tile(global_var, (n_components, 1)),
     )
+    x_sq = x * x
     history: list[float] = []
     for _ in range(max(iters, 1)):
         total, resp = _posteriors(gmm.component_log_likelihood(x))  # (N,), (N, K)
@@ -367,7 +403,7 @@ def gmm_fit_em(
             continue
         gmm.weights = nk / n
         gmm.means = (resp.T @ x) / nk[:, None]
-        second = (resp.T @ (x * x)) / nk[:, None]
+        second = (resp.T @ x_sq) / nk[:, None]
         gmm.variances = np.maximum(second - gmm.means**2, VAR_FLOOR)
     history.append(float(np.sum(gmm.log_likelihood(x))))
     return gmm, history
@@ -427,17 +463,33 @@ def write_score_csv(trials: Trials, scores, path) -> None:
     _write_rows(path, SCORE_FIELDS, [*quoted, flags, score_text])
 
 
+def _csv_table(reader):
+    """The column of each name in a ``csv.reader``'s header, and its
+    non-blank rows, each short one padded with None to the header's width.
+    These are the fields ``csv.DictReader`` gives: a repeated name takes
+    its last column.  After each row, the reader's ``line_num`` is that
+    row's last line, past any blank lines before it, which is the line
+    ``csv.DictReader`` names too: its ``fieldnames`` lookup copies
+    ``line_num`` again after the blanks are skipped."""
+    header = next(reader, None) or []
+    width = len(header)
+    rows = (r if len(r) >= width else r + [None] * (width - len(r)) for r in reader if r)
+    return {name: i for i, name in enumerate(header)}, rows
+
+
 def read_score_csv(path) -> dict[str, float]:
     """trial_id -> score.  A repeated trial_id, or a score missing (short
     row) or not finite, raises `ProtocolError` naming the file and line."""
     out: dict[str, float] = {}
     with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        missing = set(SCORE_FIELDS) - set(reader.fieldnames or ())
+        reader = csv.reader(f)
+        index, rows = _csv_table(reader)
+        missing = set(SCORE_FIELDS) - set(index)
         if missing:
             raise ProtocolError(f"{path}: score CSV missing columns {sorted(missing)}")
-        for row in reader:
-            trial_id, text = row["trial_id"], row["score"]
+        i_id, i_score = index["trial_id"], index["score"]
+        for row in rows:
+            trial_id, text = row[i_id], row[i_score]
             if trial_id in out:
                 raise ProtocolError(
                     f"{path}, line {reader.line_num}: repeated trial_id {trial_id!r}"
@@ -446,7 +498,7 @@ def read_score_csv(path) -> dict[str, float]:
                 score = float(text)
             except (TypeError, ValueError):  # TypeError: short row, text is None
                 score = None
-            if score is None or not np.isfinite(score):
+            if score is None or not math.isfinite(score):
                 raise ProtocolError(
                     f"{path}, line {reader.line_num}: score {text!r} is not a finite number"
                 )
@@ -455,13 +507,9 @@ def read_score_csv(path) -> dict[str, float]:
 
 
 def write_curve_csv(points: list[OperatingPoint], path) -> None:
-    with atomic_write(path, newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CURVE_FIELDS)
-        for p in points:
-            writer.writerow(
-                [repr(p.threshold), repr(p.sr), repr(p.frr), repr(p.far)]
-            )
+    """One row per operating point; each rate is the ``repr`` of a float."""
+    columns = zip(*[(p.threshold, p.sr, p.frr, p.far) for p in points])
+    _write_rows(path, CURVE_FIELDS, [map(repr, c) for c in columns])
 
 
 TRIAL_FIELDS = ("trial_id", "claimed_speaker", "utterance_id", "source", "is_target")
@@ -481,27 +529,36 @@ def read_trial_csv(path) -> Trials:
     columns: list[list] = [[] for _ in TRIAL_FIELDS]
     seen: set[str] = set()
     with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        missing = set(TRIAL_FIELDS) - set(reader.fieldnames or ())
+        reader = csv.reader(f)
+        index, rows = _csv_table(reader)
+        missing = set(TRIAL_FIELDS) - set(index)
         if missing:
             raise ProtocolError(
                 f"{path}, line {reader.line_num}: trial CSV missing columns {sorted(missing)}"
             )
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            trial_id, source, flag = row["trial_id"], row["source"], row["is_target"]
+        i_id, i_source, i_flag = index["trial_id"], index["source"], index["is_target"]
+        fields = [(column, index[name]) for column, name in zip(columns, TRIAL_FIELDS[:4])]
+        for row in rows:
+            trial_id, source, flag = row[i_id], row[i_source], row[i_flag]
             if trial_id in seen:
-                raise ProtocolError(f"{where}: repeated trial_id {trial_id!r}")
+                raise ProtocolError(
+                    f"{path}, line {reader.line_num}: repeated trial_id {trial_id!r}"
+                )
             if flag not in ("0", "1"):
-                raise ProtocolError(f"{where}: is_target {flag!r} is not 0 or 1")
+                raise ProtocolError(
+                    f"{path}, line {reader.line_num}: is_target {flag!r} is not 0 or 1"
+                )
             if source not in ("real", "synthetic"):
-                raise ProtocolError(f"{where}: bad trial source {source!r}")
+                raise ProtocolError(
+                    f"{path}, line {reader.line_num}: bad trial source {source!r}"
+                )
             if source == "synthetic" and flag == "0":
                 raise ProtocolError(
-                    f"{where}: synthetic trials always claim their target identity"
+                    f"{path}, line {reader.line_num}: "
+                    "synthetic trials always claim their target identity"
                 )
             seen.add(trial_id)
-            for column, field in zip(columns, TRIAL_FIELDS[:4]):
-                column.append(row[field])
+            for column, i in fields:
+                column.append(row[i])
             columns[4].append(flag == "1")
     return Trials(*columns[:4], np.array(columns[4], dtype=bool))

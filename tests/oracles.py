@@ -6,7 +6,8 @@ package internals; ``prefix_decode`` calls only the public model layers,
 ``strided_griffin_lim`` only the framing and overlap-add helpers of
 ``melforge.dsp``, which ``loop_istft`` checks on their own, and
 ``input_gradient_critic_loss`` only the public autodiff functions.  The
-trial and score CSV writers write row by row through ``csv.writer``.
+trial and score CSV writers write row by row through ``csv.writer``, and
+their readers read through ``csv.DictReader``.
 """
 
 import csv
@@ -15,6 +16,7 @@ import numpy as np
 
 from melforge import autodiff as ad
 from melforge import dsp, model
+from melforge.errors import ProtocolError
 
 
 def naive_dft(frame: np.ndarray) -> np.ndarray:
@@ -157,6 +159,79 @@ def csv_writer_score_csv(trials, scores, path) -> None:
             writer.writerow([trial_id, claimed, source, int(is_target), repr(float(s))])
 
 
+def csv_writer_curve_csv(points, path) -> None:
+    """A curve CSV of ``eval.OperatingPoint`` rows, one ``csv.writer`` row
+    per point, each value the ``repr`` of a float."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(("threshold", "SR", "FRR", "FAR"))
+        for p in points:
+            writer.writerow([repr(p.threshold), repr(p.sr), repr(p.frr), repr(p.far)])
+
+
+def dictreader_read_score_csv(path) -> dict[str, float]:
+    """trial_id -> score, one ``csv.DictReader`` row at a time, with the
+    refusals of ``eval.read_score_csv``."""
+    out: dict[str, float] = {}
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        missing = {"trial_id", "claimed_speaker", "source", "is_target", "score"} - set(
+            reader.fieldnames or ()
+        )
+        if missing:
+            raise ProtocolError(f"{path}: score CSV missing columns {sorted(missing)}")
+        for row in reader:
+            trial_id, text = row["trial_id"], row["score"]
+            if trial_id in out:
+                raise ProtocolError(
+                    f"{path}, line {reader.line_num}: repeated trial_id {trial_id!r}"
+                )
+            try:
+                score = float(text)
+            except (TypeError, ValueError):  # TypeError: short row, text is None
+                score = None
+            if score is None or not np.isfinite(score):
+                raise ProtocolError(
+                    f"{path}, line {reader.line_num}: score {text!r} is not a finite number"
+                )
+            out[trial_id] = score
+    return out
+
+
+def dictreader_read_trial_csv(path) -> list[list]:
+    """The five trial columns (``is_target`` as bools), one
+    ``csv.DictReader`` row at a time, with the refusals of
+    ``eval.read_trial_csv``."""
+    fields = ("trial_id", "claimed_speaker", "utterance_id", "source", "is_target")
+    columns: list[list] = [[] for _ in fields]
+    seen: set[str] = set()
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        missing = set(fields) - set(reader.fieldnames or ())
+        if missing:
+            raise ProtocolError(
+                f"{path}, line {reader.line_num}: trial CSV missing columns {sorted(missing)}"
+            )
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            trial_id, source, flag = row["trial_id"], row["source"], row["is_target"]
+            if trial_id in seen:
+                raise ProtocolError(f"{where}: repeated trial_id {trial_id!r}")
+            if flag not in ("0", "1"):
+                raise ProtocolError(f"{where}: is_target {flag!r} is not 0 or 1")
+            if source not in ("real", "synthetic"):
+                raise ProtocolError(f"{where}: bad trial source {source!r}")
+            if source == "synthetic" and flag == "0":
+                raise ProtocolError(
+                    f"{where}: synthetic trials always claim their target identity"
+                )
+            seen.add(trial_id)
+            for column, field in zip(columns, fields[:4]):
+                column.append(row[field])
+            columns[4].append(flag == "1")
+    return columns
+
+
 def loop_istft(grid: np.ndarray, win: int, hop: int) -> np.ndarray:
     """Inverse STFT by per-sample overlap-add of hann-windowed frames,
     divided by the overlap-added squared window (floored at 1e-12)."""
@@ -204,6 +279,16 @@ def broadcast_gmm_component_ll(x: np.ndarray, weights, means, variances) -> np.n
     quad = np.sum(diff * diff / variances[None], axis=2)
     logdet = np.sum(np.log(2.0 * np.pi * variances), axis=1)
     return -0.5 * (quad + logdet[None, :]) + np.log(weights)[None, :]
+
+
+def full_exp_posteriors(comp_ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) log-sum-exp and (N, K) responsibilities from the exponential of
+    every peak-shifted log-likelihood, however far below the peak."""
+    peak = comp_ll.max(axis=1, keepdims=True)
+    resp = np.exp(comp_ll - peak)
+    mass = resp.sum(axis=1, keepdims=True)
+    resp /= mass
+    return (peak + np.log(mass))[:, 0], resp
 
 
 def prefix_decode(text_idx, spk, params, cfg, max_frames=200, stop_energy=0.02, stop_run=10):

@@ -307,6 +307,23 @@ def test_lfcc_dimensions_and_zero_signal():
     assert short.shape[1] == 1
 
 
+def test_lfcc_constants_per_rate_and_read_only(rng):
+    """The cached window and filterbank are built per sample rate and
+    cannot be written; features at one rate are unchanged by a call at
+    another."""
+    waves = [dsp.Waveform(rng.standard_normal(4000), sr) for sr in (22050, 16000)]
+    first = [dsp.lfcc(w) for w in waves]
+    again = [dsp.lfcc(w) for w in reversed(waves)][::-1]
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
+    assert first[0].shape[1] != first[1].shape[1]
+    hop, window, fb = dsp._lfcc_constants(16000)
+    assert (hop, window.size, fb.shape) == (240, 480, (dsp.LFCC_FILTERS, 241))
+    for a in (window, fb):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def test_lfcc_dct_stage_matches_naive(rng):
     x = rng.standard_normal((20, 9))
     assert max_rel_err(dsp.dct_ii_ortho(x, axis=0), naive_dct2_ortho(x)) <= 1e-6

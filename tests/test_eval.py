@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from melforge import cli, corpus
+from melforge import cli, corpus, dsp, fixture
 from melforge import eval as ev
 from melforge.config import ProtocolConfig
 from melforge.corpus import EmbeddingStore, Manifest, ManifestRecord
@@ -18,8 +18,12 @@ from oracles import (
     broadcast_gmm_component_ll,
     brute_force_eer,
     cosine_score,
+    csv_writer_curve_csv,
     csv_writer_score_csv,
     csv_writer_trial_csv,
+    dictreader_read_score_csv,
+    dictreader_read_trial_csv,
+    full_exp_posteriors,
     sweep_sr_frr_far,
 )
 
@@ -345,6 +349,92 @@ def test_gmm_fit_at_antispoof_size_monotone_and_matches_scipy():
     np.testing.assert_allclose(gmm.log_likelihood(sub), want, rtol=1e-9, atol=1e-9)
 
 
+def test_posteriors_floor_drops_only_terms_below_it():
+    """One row of peak-shifted values across the floor and the subnormal
+    range of exp: the log-sum-exp and the kept responsibilities equal the
+    full exponential's, the dropped ones are 0, and none is subnormal."""
+    row = np.array([[0.0, -699.9, -700.0, -700.1, -708.5, -720.0, -745.1, -745.2, -800.0, -1e5]])
+    total, resp = ev._posteriors(row)
+    want_total, want_resp = full_exp_posteriors(row)
+    assert total.tobytes() == want_total.tobytes()
+    kept = row >= ev._LOG_FLOOR
+    assert kept.sum() == 3
+    assert resp[kept].tobytes() == want_resp[kept].tobytes()
+    assert np.all(resp[~kept] == 0.0)
+    nonzero = resp[resp != 0.0]
+    assert np.all(nonzero >= np.finfo(np.float64).tiny)
+
+
+def _lfcc_frames(rng):
+    letters = list(fixture.LETTERS + " ")
+    texts = ["".join(rng.choice(letters, size=12)) for _ in range(6)]
+    waves = [fixture.render_text(t, f"spk{i % 2}") for i, t in enumerate(texts)]
+    return np.vstack([dsp.lfcc(w).T.astype(np.float64) for w in waves])
+
+
+def _separated_clusters(rng):
+    centres = rng.standard_normal((8, 10)) * 30.0
+    return centres[rng.integers(8, size=1024)] + rng.standard_normal((1024, 10))
+
+
+def _far_offset_set(rng):
+    return rng.standard_normal((400, 12)) * 3.0 + 1e3
+
+
+@pytest.mark.parametrize(
+    "make, k, floored",
+    [
+        (_lfcc_frames, 32, True),
+        (_separated_clusters, 64, True),
+        (_far_outlier_set, 3, True),
+        (_far_offset_set, 16, False),
+    ],
+    ids=["lfcc", "clusters_30_sigma", "far_outlier", "far_offset"],
+)
+def test_gmm_fit_same_bits_as_full_exponential(make, k, floored, rng, monkeypatch):
+    """A fit whose E-steps drop the terms below the floor equals, bit for
+    bit, one that takes the exponential of every term.  ``floored`` says
+    whether some E-step of the fit meets a term below the floor."""
+    x = make(rng)
+    below = []
+
+    def posteriors(comp_ll):
+        below.append(np.any(comp_ll - comp_ll.max(axis=1, keepdims=True) < ev._LOG_FLOOR))
+        return full_exp_posteriors(comp_ll)
+
+    gmm, hist = ev.gmm_fit_em(x, k, iters=12, seed=2)
+    ll = gmm.log_likelihood(x)
+    monkeypatch.setattr(ev, "_posteriors", posteriors)
+    want, want_hist = ev.gmm_fit_em(x, k, iters=12, seed=2)
+    assert any(below) == floored
+    assert hist == want_hist
+    for got, expect in (
+        (gmm.weights, want.weights),
+        (gmm.means, want.means),
+        (gmm.variances, want.variances),
+        (ll, want.log_likelihood(x)),
+    ):
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_log_likelihood_with_floored_variances_same_bits_as_full_exponential(rng, monkeypatch):
+    """The far-offset model with some variances at VAR_FLOOR puts terms
+    far below the floor; its log-likelihoods keep their bits."""
+    x = _far_offset_set(rng)
+    variances = rng.uniform(0.5, 4.0, (16, 12))
+    variances[rng.random((16, 12)) < 0.1] = ev.VAR_FLOOR
+    gmm = ev.DiagonalGmm(
+        weights=rng.dirichlet(np.ones(16)),
+        means=x[rng.choice(400, 16, replace=False)] + 0.1 * rng.standard_normal((16, 12)),
+        variances=variances,
+    )
+    comp_ll = gmm.component_log_likelihood(x)
+    assert np.any(comp_ll - comp_ll.max(axis=1, keepdims=True) < ev._LOG_FLOOR)
+    got = gmm.log_likelihood(x)
+    monkeypatch.setattr(ev, "_posteriors", full_exp_posteriors)
+    assert got.tobytes() == gmm.log_likelihood(x).tobytes()
+
+
 def test_antispoof_score_properties(rng):
     x = rng.standard_normal((300, 2))
     gmm, _ = ev.gmm_fit_em(x, 2, iters=10, seed=0)
@@ -429,6 +519,100 @@ def test_csv_writers_equal_csv_writer_and_read_back(tmp_path, rng):
             zip(trials.trial_id, scores.tolist())
         )
     assert b'"a,b","spk,0","u,0",real,1\r\n' in (tmp_path / "odd_t.csv").read_bytes()
+
+
+def test_curve_csv_equals_csv_writer(tmp_path, rng):
+    """With and without non-target scores (FAR NaN), over the infinite end
+    thresholds: the same bytes as csv.writer row by row."""
+    target, synth = rng.standard_normal(30), rng.standard_normal(25) - 1.0
+    for name, nontarget in (("far", rng.standard_normal(40) - 2.0), ("nan", None)):
+        points = ev.sr_frr_curve(target, synth, nontarget)
+        ev.write_curve_csv(points, tmp_path / f"{name}.csv")
+        csv_writer_curve_csv(points, tmp_path / f"{name}_oracle.csv")
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_oracle.csv").read_bytes()
+    assert got.startswith(b"threshold,SR,FRR,FAR\r\n-inf,1.0,0.0,nan\r\n")
+
+
+TRIAL_HEADER = ",".join(ev.TRIAL_FIELDS)
+SCORE_HEADER = ",".join(ev.SCORE_FIELDS)
+# trial and score CSVs that csv.DictReader reads in its own ways: blank
+# lines, short and long rows, repeated or reordered header names, a field
+# over two lines, an empty file, a blank header line
+READER_CASES = {
+    "blank_lines": (
+        f"{TRIAL_HEADER}\n\nt1,a,u1,real,1\n\n\nt2,b,u2,synthetic,1\n\n",
+        f"{SCORE_HEADER}\n\nt1,a,real,1,0.5\n\n\nt2,b,synthetic,1,-1e3\n\n",
+    ),
+    "short_row_refused": (
+        f"{TRIAL_HEADER}\nt1,a,u1,real,1\n\nt2,b,u2,real\n",
+        f"{SCORE_HEADER}\nt1,a,real,1,0.5\n\nt2,b,real,1\n",
+    ),
+    "short_row_kept": (
+        "is_target,source,trial_id,claimed_speaker,utterance_id\n1,real,t1,a,u1\n0,real,t2\n",
+        "score,trial_id,claimed_speaker,source,is_target\n0.5,t1,a,real,1\n0.25\n",
+    ),
+    "long_rows": (
+        f"{TRIAL_HEADER}\nt1,a,u1,real,1,extra,more\n",
+        f"{SCORE_HEADER}\nt1,a,real,1,0.5,extra\n",
+    ),
+    "repeated_column": (
+        f"{TRIAL_HEADER},source\nt1,a,u1,real,1,synthetic\nt2,a,u2,real,1,real\n",
+        f"{SCORE_HEADER},score\nt1,a,real,1,nan,0.5\nt2,a,real,1,0.5\n",
+    ),
+    "field_over_two_lines": (
+        f'{TRIAL_HEADER}\n"t\n1",a,u1,real,1\nt2,a,u2,real,2\n',
+        f'{SCORE_HEADER}\n"t\n1",a,real,1,0.5\nt2,a,real,1,inf\n',
+    ),
+    "repeated_id": (
+        f"{TRIAL_HEADER}\nt1,a,u1,real,1\nt1,b,u2,real,0\n",
+        f"{SCORE_HEADER}\nt1,a,real,1,0.5\nt1,a,real,1,0.5\n",
+    ),
+    "missing_column": ("trial_id,source\nt1,real\n", "trial_id,score\nt1,0.5\n"),
+    "empty_file": ("", ""),
+    "blank_header_line": (f"\n{TRIAL_HEADER}\nt1,a,u1,real,1\n", f"\n{SCORE_HEADER}\n"),
+}
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ProtocolError as e:
+        return f"ProtocolError: {e}"
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_csv_readers_equal_dictreader(case, tmp_path):
+    """read_trial_csv and read_score_csv return what a csv.DictReader
+    reading gives, or refuse with its message, file and line."""
+    trial_text, score_text = READER_CASES[case]
+    (tmp_path / "t.csv").write_text(trial_text, newline="")
+    (tmp_path / "s.csv").write_text(score_text, newline="")
+    got = _outcome(ev.read_trial_csv, tmp_path / "t.csv")
+    want = _outcome(dictreader_read_trial_csv, tmp_path / "t.csv")
+    if isinstance(got, str):
+        assert got == want
+    else:
+        assert [*got[:4], got.is_target.tolist()] == want
+    assert _outcome(ev.read_score_csv, tmp_path / "s.csv") == _outcome(
+        dictreader_read_score_csv, tmp_path / "s.csv"
+    )
+
+
+def test_csv_readers_name_the_bad_rows_own_line_after_blank_lines(tmp_path):
+    """A refused row after a blank line is named by its own line (4), not
+    the blank line's (3), in both readers and in their DictReader oracles."""
+    trial_text, score_text = READER_CASES["short_row_refused"]
+    (tmp_path / "t.csv").write_text(trial_text, newline="")
+    (tmp_path / "s.csv").write_text(score_text, newline="")
+    for read, name in [
+        (ev.read_trial_csv, "t.csv"),
+        (dictreader_read_trial_csv, "t.csv"),
+        (ev.read_score_csv, "s.csv"),
+        (dictreader_read_score_csv, "s.csv"),
+    ]:
+        with pytest.raises(ProtocolError, match=rf"{name}, line 4: "):
+            read(tmp_path / name)
 
 
 @pytest.mark.parametrize(
