@@ -440,14 +440,11 @@ def cmd_eval_antispoof(args) -> int:
     else:
         raise CorpusError(f"unknown backend {args.backend!r}")
     eer = ev.antispoof_eer(real_scores, synth_scores)
-    with atomic_write(out / "antispoof_scores.csv") as f:
-        f.write("file,source,score\n")
-        for files, scores, src in (
-            (real_files, real_scores, "real"),
-            (synth_files, synth_scores, "synthetic"),
-        ):
-            for p, s in zip(files, scores):
-                f.write(f"{p},{src},{float(s)!r}\n")
+    files = ev._quoted([str(p) for p in real_files + synth_files])
+    sources = ["real"] * len(real_files) + ["synthetic"] * len(synth_files)
+    scores = [repr(float(s)) for s in real_scores + synth_scores]
+    header = ("file", "source", "score")
+    ev._write_rows(out / "antispoof_scores.csv", header, [files, sources, scores])
     report = {
         "backend": args.backend,
         "eer": eer,

@@ -463,27 +463,34 @@ def write_score_csv(trials: Trials, scores, path) -> None:
     _write_rows(path, SCORE_FIELDS, [*quoted, flags, score_text])
 
 
-def _csv_table(reader):
+def _csv_table(path, reader):
     """The column of each name in a ``csv.reader``'s header, and its
-    non-blank rows, each short one padded with None to the header's width.
-    These are the fields ``csv.DictReader`` gives: a repeated name takes
-    its last column.  After each row, the reader's ``line_num`` is that
-    row's last line, past any blank lines before it, which is the line
-    ``csv.DictReader`` names too: its ``fieldnames`` lookup copies
-    ``line_num`` again after the blanks are skipped."""
+    non-blank rows.  A repeated name, or a row whose field count is not the
+    header's, raises `ProtocolError` naming the file and the reader's
+    ``line_num``: after each row, that row's last line."""
     header = next(reader, None) or []
-    width = len(header)
-    rows = (r if len(r) >= width else r + [None] * (width - len(r)) for r in reader if r)
-    return {name: i for i, name in enumerate(header)}, rows
+    index = {name: i for i, name in enumerate(header)}
+    if len(index) < len(header):
+        twice = next(name for i, name in enumerate(header) if index[name] != i)
+        raise ProtocolError(f"{path}, line {reader.line_num}: header names {twice!r} twice")
+
+    def fits(row):
+        if len(row) != len(header):
+            counts = f"the header has {len(header)} fields, this row {len(row)}"
+            raise ProtocolError(f"{path}, line {reader.line_num}: {counts}")
+        return row
+
+    return index, map(fits, filter(None, reader))
 
 
 def read_score_csv(path) -> dict[str, float]:
-    """trial_id -> score.  A repeated trial_id, or a score missing (short
-    row) or not finite, raises `ProtocolError` naming the file and line."""
+    """trial_id -> score.  A row that does not fit the header (see
+    `_csv_table`), a repeated trial_id or a score that is not finite raises
+    `ProtocolError` naming the file and line."""
     out: dict[str, float] = {}
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        index, rows = _csv_table(reader)
+        index, rows = _csv_table(path, reader)
         missing = set(SCORE_FIELDS) - set(index)
         if missing:
             raise ProtocolError(f"{path}: score CSV missing columns {sorted(missing)}")
@@ -496,9 +503,9 @@ def read_score_csv(path) -> dict[str, float]:
                 )
             try:
                 score = float(text)
-            except (TypeError, ValueError):  # TypeError: short row, text is None
-                score = None
-            if score is None or not math.isfinite(score):
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
                 raise ProtocolError(
                     f"{path}, line {reader.line_num}: score {text!r} is not a finite number"
                 )
@@ -530,7 +537,7 @@ def read_trial_csv(path) -> Trials:
     seen: set[str] = set()
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        index, rows = _csv_table(reader)
+        index, rows = _csv_table(path, reader)
         missing = set(TRIAL_FIELDS) - set(index)
         if missing:
             raise ProtocolError(

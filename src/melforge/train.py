@@ -1,25 +1,26 @@
 """Adversarial training loops and checkpointing.
 
-Each outer step runs ``n_critic`` critic updates (Wasserstein loss with
-gradient penalty on interpolates between real features and teacher-forced
-predictions) followed by one generator update on the combined
-reconstruction + adversarial objective.  The penalty never forms the
-interpolate or its input-sized gradient: the critic's front is linear, so
-`critic_update` interpolates the front's outputs, differentiates the body
-there and takes the norms from ``model.discriminator_grad_sq``.  The tape
-is first order: the penalty's gradient through that differentiation comes
-from a forward-mode tangent of the body, taped and differentiated once.
-Everything is deterministic given (seed, config, data): batches,
-interpolation draws and parameter initialization all come from one seeded
-generator consumed in a fixed order.
+Each outer step runs the generator once, teacher-forced on one batch, then
+``n_critic`` critic updates (Wasserstein loss with gradient penalty on
+interpolates between fresh real batches and that output, detached), then
+one generator update on that output's reconstruction + adversarial loss.
+The penalty never forms the interpolate or its input-sized gradient: the
+critic's front is linear, so `critic_update` interpolates the front's
+outputs, differentiates the body there and takes the norms from
+``model.discriminator_grad_sq``.  The tape is first order: the penalty's
+gradient through that differentiation comes from a forward-mode tangent of
+the body, taped and differentiated once.  Everything is deterministic given
+(seed, config, data): batches, interpolation draws and parameter
+initialization all come from one seeded generator consumed in a fixed
+order.
 
 The run log has one JSON line per logged step: the update counts, the
 critic's last-update statistics (``critic_critic_loss``,
 ``critic_wasserstein``, ``critic_grad_norm``, ``critic_gp``; absent
 before ``gan_start_step``), the generator's losses, and the wall times
-``wall_ms`` (the whole step), ``critic_ms`` (the fake batch and the
-``n_critic`` updates) and ``generator_ms`` (the generator forward, backward
-and Adam step).
+``wall_ms`` (the whole step), ``critic_ms`` (the real batches and the
+``n_critic`` updates) and ``generator_ms`` (the generator forward and its
+losses, plus the adversarial score, backward pass and Adam step).
 
 Checkpoints are binary: magic "MFCK", version, a JSON metadata block, then
 a tensor table of little-endian float32 buffers (parameters and optimizer
@@ -442,12 +443,8 @@ def _t2m_batch(batch, mcfg, gen_params):
         texts, tmask = _pad([s.text_idx for s in batch], dtype=np.int64)
         spk = np.stack([s.spk for s in batch]).astype(np.float32)
         y, a = model.t2m_teacher_forced(texts, dmel, spk, gen_params, mcfg, tmask)
-
-        def recon():
-            w, amask = _guided_batch(tmask, fmask)
-            return losses.recon_loss_t2m(y, Tensor(dmel), a, w, mask=fmask, attn_mask=amask)
-
-        return y, recon
+        w, amask = _guided_batch(tmask, fmask)
+        return y, losses.recon_loss_t2m(y, Tensor(dmel), a, w, mask=fmask, attn_mask=amask)
 
     return dmel, fmask, forward
 
@@ -458,7 +455,7 @@ def _ssrn_batch(batch, mcfg, gen_params):
 
     def forward():
         y = model.ssrn_forward(dmel, gen_params, mcfg)
-        return y, lambda: losses.recon_loss_ssrn(y, Tensor(lin), mask=mask)
+        return y, losses.recon_loss_ssrn(y, Tensor(lin), mask=mask)
 
     return lin, mask, forward
 
@@ -485,8 +482,9 @@ class Stage:
     ``batch(samples, mcfg, gen_params)`` returns the zero-padded real
     features (the generator target, which the critic also scores), their
     (B, 1, T) frame mask, and ``forward()``, which runs the generator in the
-    caller's grad mode and returns its output and a reconstruction-loss
-    thunk.  Entries call ``model``/``losses`` through module attributes.
+    caller's grad mode and returns ``(y, recon_loss)``: its output and its
+    reconstruction loss.  Entries call ``model``/``losses`` through module
+    attributes.
     """
 
     init: Callable  # (ModelConfig, rng) -> generator parameters
@@ -630,14 +628,14 @@ def train_stage(
         for step in range(start, tcfg.max_iters):
             t0 = time.perf_counter()
             gan_on = step >= tcfg.gan_start_step
+            _, mask, forward = stage.batch(batches.next(), mcfg, gen_params)
+            y, recon_loss = forward()
+            t_critic = time.perf_counter()
             critic_stats = {}
-            n_critic_done = 0
             if gan_on:
-                # one generated batch is scored against fresh real batches
-                # in all n_critic updates (only the critic moves here)
-                _, mask, forward = stage.batch(batches.next(), mcfg, gen_params)
-                with ad.no_grad():
-                    y, _ = forward()
+                # the generator's own output, detached, is scored against
+                # fresh real batches in all n_critic updates (only the critic
+                # moves here); the generator is then scored on the same y
                 fake = (y.data * mask).astype(np.float32)
                 for _ in range(tcfg.n_critic):
                     real, _, _ = stage.batch(batches.next(), mcfg, gen_params)
@@ -646,11 +644,7 @@ def train_stage(
                         real_a, fake_a, critic, disc_params, disc_opt, rng,
                         tcfg.gp_weight,
                     )
-                    n_critic_done += 1
             t_gen = time.perf_counter()
-            _, mask, forward = stage.batch(batches.next(), mcfg, gen_params)
-            y, recon = forward()
-            recon_loss = recon()
             gan_loss = None
             if gan_on:
                 scores = model.discriminator_forward(ad.mul(y, Tensor(mask)), dcfg, disc_params)
@@ -661,11 +655,11 @@ def train_stage(
                 entry = {
                     "step": step + 1,
                     "model": model_id,
-                    "critic_updates": n_critic_done,
+                    "critic_updates": tcfg.n_critic if gan_on else 0,
                     "generator_updates": 1,
                     "wall_ms": round(1e3 * (time.perf_counter() - t0), 3),
-                    "critic_ms": round(1e3 * (t_gen - t0), 3),
-                    "generator_ms": round(1e3 * (t_end - t_gen), 3),
+                    "critic_ms": round(1e3 * (t_gen - t_critic), 3),
+                    "generator_ms": round(1e3 * (t_critic - t0 + t_end - t_gen), 3),
                     **{f"critic_{k}": v for k, v in critic_stats.items()},
                     **gen_stats,
                 }

@@ -878,6 +878,39 @@ def test_eval_antispoof_csv_holds_exact_scores(toy_corpus, tmp_path, monkeypatch
     assert eer_of(real, synth) == report["eer"]
 
 
+def test_eval_antispoof_csv_quotes_paths(toy_corpus, tmp_path, monkeypatch):
+    """WAV paths holding a comma or a double quote are quoted in the score
+    CSV, which reads back with each file's path, source and exact score
+    and ends its lines in CRLF."""
+    seen = []
+    eer_of = ev.antispoof_eer
+    monkeypatch.setattr(ev, "antispoof_eer", lambda r, s: seen.append(r + s) or eer_of(r, s))
+    wavs = sorted((toy_corpus / "spk0").glob("*.wav"))
+    names = [("real", "a,0.wav"), ("real", "b.wav"), ("synth", 'c"1".wav'), ("synth", "d,2.wav")]
+    for wav, (folder, name) in zip(wavs, names):
+        (tmp_path / folder).mkdir(exist_ok=True)
+        (tmp_path / folder / name).write_bytes(wav.read_bytes())
+    out = tmp_path / "anti"
+    assert run_cli(
+        "eval-antispoof",
+        "--real", tmp_path / "real",
+        "--synth", tmp_path / "synth",
+        "--gmm-components", 2,
+        "--gmm-iters", 3,
+        "--out", out,
+    ) == 0
+    with open(out / "antispoof_scores.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["file", "source", "score"]
+    assert [(path, source) for path, source, _ in rows[1:]] == [
+        (str(tmp_path / folder / name), "synthetic" if folder == "synth" else "real")
+        for folder, name in names
+    ]
+    assert [float(score) for _, _, score in rows[1:]] == seen[0]
+    text = (out / "antispoof_scores.csv").read_bytes()
+    assert text.count(b"\r\n") == len(rows) and b'/c""1"".wav",' in text
+
+
 def test_eval_antispoof_identical_sets_eer_half(toy_corpus, tmp_path):
     out = tmp_path / "anti2"
     code = run_cli(

@@ -538,7 +538,8 @@ TRIAL_HEADER = ",".join(ev.TRIAL_FIELDS)
 SCORE_HEADER = ",".join(ev.SCORE_FIELDS)
 # trial and score CSVs that csv.DictReader reads in its own ways: blank
 # lines, short and long rows, repeated or reordered header names, a field
-# over two lines, an empty file, a blank header line
+# over two lines, an empty file, a blank header line; the readers refuse
+# the rows that do not fit the header and the repeated names (STRICT_CASES)
 READER_CASES = {
     "blank_lines": (
         f"{TRIAL_HEADER}\n\nt1,a,u1,real,1\n\n\nt2,b,u2,synthetic,1\n\n",
@@ -574,6 +575,21 @@ READER_CASES = {
 }
 
 
+# case -> (trial CSV refusal, score CSV refusal), each after "<file>, "
+STRICT_CASES = {
+    "short_row_refused": ("line 4: the header has 5 fields, this row 4",) * 2,
+    "short_row_kept": (
+        "line 3: the header has 5 fields, this row 3",
+        "line 3: the header has 5 fields, this row 1",
+    ),
+    "long_rows": (
+        "line 2: the header has 5 fields, this row 7",
+        "line 2: the header has 5 fields, this row 6",
+    ),
+    "repeated_column": ("line 1: header names 'source' twice", "line 1: header names 'score' twice"),
+}
+
+
 def _outcome(read, path):
     try:
         return read(path)
@@ -584,10 +600,18 @@ def _outcome(read, path):
 @pytest.mark.parametrize("case", sorted(READER_CASES))
 def test_csv_readers_equal_dictreader(case, tmp_path):
     """read_trial_csv and read_score_csv return what a csv.DictReader
-    reading gives, or refuse with its message, file and line."""
+    reading gives, or refuse with its message, file and line; a row that
+    does not fit the header, or a header naming a column twice, they refuse
+    on its own line."""
     trial_text, score_text = READER_CASES[case]
     (tmp_path / "t.csv").write_text(trial_text, newline="")
     (tmp_path / "s.csv").write_text(score_text, newline="")
+    if case in STRICT_CASES:
+        for read, name, message in zip(
+            (ev.read_trial_csv, ev.read_score_csv), ("t.csv", "s.csv"), STRICT_CASES[case]
+        ):
+            assert _outcome(read, tmp_path / name) == f"ProtocolError: {tmp_path / name}, {message}"
+        return
     got = _outcome(ev.read_trial_csv, tmp_path / "t.csv")
     want = _outcome(dictreader_read_trial_csv, tmp_path / "t.csv")
     if isinstance(got, str):

@@ -110,12 +110,78 @@ def test_critic_and_generator_updates_are_isolated(toy_samples):
         y, recon = forward()
         scores = model.discriminator_forward(ad.mul(y, Tensor(mask)), dcfg, disc_params)
         gan = losses.wgan_generator_loss(scores)
-        train.generator_update(recon(), gan, gen_params, AdamState())
+        train.generator_update(recon, gan, gen_params, AdamState())
         for k in disc_params:
             np.testing.assert_array_equal(disc_params[k].data, disc_before[k])
         assert any(
             not np.array_equal(gen_params[k].data, gen_before[k]) for k in gen_params
         )
+
+
+def _record_step_events(monkeypatch, model_id):
+    """Patch the generator forward of ``model_id``, `BatchIterator.next`
+    and `train.critic_update` to append ("draw", batch), ("forward", y)
+    and ("critic", fake) events, in call order, to the returned list."""
+    events = []
+    name = {"t2m": "t2m_teacher_forced", "ssrn": "ssrn_forward"}[model_id]
+    forward, next_batch, critic_update = (
+        getattr(model, name), train.BatchIterator.next, train.critic_update
+    )
+
+    def recorded_forward(*args, **kw):
+        out = forward(*args, **kw)
+        events.append(("forward", out[0] if isinstance(out, tuple) else out))
+        return out
+
+    def recorded_next(self):
+        batch = next_batch(self)
+        events.append(("draw", batch))
+        return batch
+
+    def recorded_critic_update(real, fake, *args):
+        events.append(("critic", fake.copy()))
+        return critic_update(real, fake, *args)
+
+    monkeypatch.setattr(model, name, recorded_forward)
+    monkeypatch.setattr(train.BatchIterator, "next", recorded_next)
+    monkeypatch.setattr(train, "critic_update", recorded_critic_update)
+    return events
+
+
+@pytest.mark.parametrize("model_id", ["t2m", "ssrn"])
+def test_gan_step_runs_the_generator_once(toy_samples, monkeypatch, model_id):
+    """Each GAN step draws the generator's batch, runs the generator once,
+    then draws n_critic real batches; every critic update scores that
+    forward's masked float32 output as its fake batch."""
+    samples, fcfg = toy_samples
+    steps, cfg = 2, _tiny_run_cfg(fcfg, steps=2)
+    n_critic = cfg.train.n_critic
+    events = _record_step_events(monkeypatch, model_id)
+    list(train.train_stage(model_id, samples, cfg))
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("forward") == steps
+    assert kinds.count("draw") == steps * (1 + n_critic)
+    assert kinds == steps * (["draw", "forward"] + ["draw", "critic"] * n_critic)
+    stage = train.STAGES[model_id]
+    per_step = 2 + 2 * n_critic
+    for i in range(0, len(events), per_step):
+        (_, batch), (_, y) = events[i : i + 2]
+        _, mask, _ = stage.batch(batch, cfg.model, {})
+        want = (y.data * mask).astype(np.float32)
+        fakes = [fake for kind, fake in events[i : i + per_step] if kind == "critic"]
+        assert len(fakes) == n_critic
+        for fake in fakes:
+            assert fake.dtype == np.float32
+            np.testing.assert_array_equal(fake, want)
+
+
+def test_gan_off_step_draws_one_batch(toy_samples, monkeypatch):
+    """Before gan_start_step a step draws one batch, runs the generator
+    once and updates no critic."""
+    samples, fcfg = toy_samples
+    events = _record_step_events(monkeypatch, "t2m")
+    list(train.train_t2m(samples, _tiny_run_cfg(fcfg, steps=3, gan_start_step=10**9)))
+    assert [kind for kind, _ in events] == 3 * ["draw", "forward"]
 
 
 def test_checkpoint_roundtrip_and_errors(toy_samples, tmp_path):
@@ -323,7 +389,7 @@ def test_stage_batch_shapes(toy_samples, model_id):
     with ad.no_grad():
         y, recon = forward()
         assert y.shape == real.shape
-        assert np.isfinite(float(recon().data))
+        assert np.isfinite(float(recon.data))
 
 
 def _one_critic_step(variant, t, dtype):
