@@ -16,15 +16,12 @@ from .nn import (
     zeros_param,
 )
 from .ops import (
-    absval,
     add,
-    clip,
     concat,
     conv_valid,
     div,
     embedding,
     exp,
-    log,
     matmul,
     mean,
     mul,
@@ -67,15 +64,12 @@ __all__ = [
     "kaiming_uniform",
     "zeros_param",
     "ones_param",
-    "absval",
     "add",
-    "clip",
     "concat",
     "conv_valid",
     "div",
     "embedding",
     "exp",
-    "log",
     "matmul",
     "mean",
     "mul",

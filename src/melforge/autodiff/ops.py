@@ -9,6 +9,9 @@ for a parent whose flag is False, and skips that parent's arithmetic.  A
 VJP records nothing, so the tape is first order.  The input-gradient of
 `conv_valid` is another valid convolution, with the zero-padded output
 gradient and the adjoint kernel (in/out channels swapped, taps reversed).
+
+These are the general primitives.  ``losses.l1_plus_bce`` is one more,
+built the same way, that fuses the reconstruction loss into one node.
 """
 
 from __future__ import annotations
@@ -241,15 +244,6 @@ def _exp_vjp(node, g, need):
     return (g * node.data,)
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return make_op_output(np.log(a.data), _log_vjp, (a,))
-
-
-def _log_vjp(node, g, need):
-    return (g / node._parents[0].data,)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     return make_op_output(np.sqrt(a.data), _sqrt_vjp, (a,))
@@ -275,25 +269,6 @@ def relu(a) -> Tensor:
 
 
 def _relu_vjp(node, g, need):
-    return (g * node._ctx["mask"].astype(node.dtype),)
-
-
-def absval(a) -> Tensor:
-    a = as_tensor(a)
-    return make_op_output(np.abs(a.data), _absval_vjp, (a,), {"sign": np.sign(a.data)})
-
-
-def _absval_vjp(node, g, need):
-    return (g * node._ctx["sign"],)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    a = as_tensor(a)
-    mask = (a.data > lo) & (a.data < hi)
-    return make_op_output(np.clip(a.data, lo, hi), _clip_vjp, (a,), {"mask": mask})
-
-
-def _clip_vjp(node, g, need):
     return (g * node._ctx["mask"].astype(node.dtype),)
 
 

@@ -35,7 +35,7 @@ from . import corpus, dsp, fixture, model, textproc, train
 from . import eval as ev
 from .config import RunConfig, feature_hash, load_config
 from .errors import CompatibilityError, CorpusError, FormatError, MelforgeError, ProtocolError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 
 
 def _echo_config(cfg: RunConfig) -> None:
@@ -206,8 +206,7 @@ def cmd_synth(args) -> int:
     _echo_config(run_cfg)
     seed = run_cfg.train.seed
     vocab = textproc.CharVocab(t2m_ck.vocab)
-    raw = Path(args.text).read_text(encoding="utf-8")
-    text = textproc.normalize_text(raw, vocab)
+    text = textproc.normalize_text(read_text(args.text, CorpusError), vocab)
     seq = textproc.encode(text, vocab)
     store = corpus.load_embeddings(args.embeddings)
     if args.speaker not in store:
@@ -440,11 +439,9 @@ def cmd_eval_antispoof(args) -> int:
     else:
         raise CorpusError(f"unknown backend {args.backend!r}")
     eer = ev.antispoof_eer(real_scores, synth_scores)
-    files = ev._quoted([str(p) for p in real_files + synth_files])
-    sources = ["real"] * len(real_files) + ["synthetic"] * len(synth_files)
-    scores = [repr(float(s)) for s in real_scores + synth_scores]
-    header = ("file", "source", "score")
-    ev._write_rows(out / "antispoof_scores.csv", header, [files, sources, scores])
+    ev.write_antispoof_csv(
+        real_files, synth_files, real_scores, synth_scores, out / "antispoof_scores.csv"
+    )
     report = {
         "backend": args.backend,
         "eer": eer,

@@ -9,9 +9,11 @@ logged.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import numpy as np
 from . import dsp, textproc
 from .config import feature_hash
 from .errors import CorpusError, FormatError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 from .model import SpeakerEmbedding, unit_normalized
 
 log = logging.getLogger(__name__)
@@ -96,7 +98,7 @@ def build_manifest(corpus_root) -> Manifest:
             if utt_id in seen:
                 raise CorpusError(f"duplicate utterance id {utt_id!r}")
             seen.add(utt_id)
-            raw = txt_path.read_text(encoding="utf-8").strip()
+            raw = read_text(txt_path, CorpusError).strip()
             records.append(
                 ManifestRecord(
                     utterance_id=utt_id,
@@ -157,33 +159,34 @@ _MANIFEST_STRINGS = ("utterance_id", "speaker_id", "wav", "text")
 
 
 def load_manifest(path) -> Manifest:
-    """The records of a JSON-lines manifest.  A line that is not a JSON
-    object with string ids, ``wav`` and ``text`` and an optional
-    ``features`` object of strings is a `FormatError` naming the line."""
+    """The records of a JSON-lines manifest.  Bytes that are not UTF-8, or
+    a line that is not a JSON object with string ids, ``wav`` and ``text``
+    and an optional ``features`` object of strings, are a `FormatError`
+    naming the line."""
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}:{line_no}: bad manifest line ({e})") from e
-            if not isinstance(d, dict):
-                raise FormatError(f"{path}:{line_no}: bad manifest line (not a JSON object)")
-            for key in _MANIFEST_STRINGS:
-                if not isinstance(d.get(key), str):
-                    what = "missing" if key not in d else "not a string"
-                    raise FormatError(f"{path}:{line_no}: bad manifest line ({key!r} {what})")
-            features = d.get("features", {})
-            if not isinstance(features, dict) or not all(
-                isinstance(v, str) for v in features.values()
-            ):
-                raise FormatError(
-                    f"{path}:{line_no}: bad manifest line ('features' is not an object of strings)"
-                )
-            records.append(ManifestRecord(**{k: d[k] for k in _MANIFEST_STRINGS}, features=features))
+    text = read_text(path, FormatError)
+    for line_no, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}:{line_no}: bad manifest line ({e})") from e
+        if not isinstance(d, dict):
+            raise FormatError(f"{path}:{line_no}: bad manifest line (not a JSON object)")
+        for key in _MANIFEST_STRINGS:
+            if not isinstance(d.get(key), str):
+                what = "missing" if key not in d else "not a string"
+                raise FormatError(f"{path}:{line_no}: bad manifest line ({key!r} {what})")
+        features = d.get("features", {})
+        if not isinstance(features, dict) or not all(
+            isinstance(v, str) for v in features.values()
+        ):
+            raise FormatError(
+                f"{path}:{line_no}: bad manifest line ('features' is not an object of strings)"
+            )
+        records.append(ManifestRecord(**{k: d[k] for k in _MANIFEST_STRINGS}, features=features))
     return Manifest(tuple(records))
 
 
@@ -258,19 +261,8 @@ def precompute_features(
         if not (reuse and all(Path(p).exists() for p in all_paths[r.utterance_id].values()))
     ]
     ok = {r.utterance_id for r in manifest.records} - {r.utterance_id for r in todo}
-    if todo:
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(
-                        lambda r: _extract_one(r, config, all_paths[r.utterance_id]),
-                        todo,
-                    )
-                )
-        else:
-            results = [_extract_one(r, config, all_paths[r.utterance_id]) for r in todo]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = pool.map(lambda r: _extract_one(r, config, all_paths[r.utterance_id]), todo)
         ok.update(r.utterance_id for r, good in zip(todo, results) if good)
     records = [
         replace(r, features=all_paths[r.utterance_id])

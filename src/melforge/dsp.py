@@ -28,7 +28,6 @@ import os
 import struct
 import wave as wave_mod
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -217,7 +216,7 @@ def griffin_lim(
     of sizes that differ by at most one.  Each synthesis pass (momentum
     extrapolation, projection, ``irfft``, window) and each analysis pass
     (framing, window, ``rfft``, ``|spec| - mag``) runs block by block on a
-    thread pool of those workers (inline with one); numpy releases the GIL
+    thread pool of those workers; numpy releases the GIL
     inside ufunc loops and its FFTs.  The overlap-add, the division by the
     window norm and the error norm run serially over the whole arrays once
     the blocks join.  Every block applies the same per-element operations
@@ -272,12 +271,11 @@ def griffin_lim(
         np.abs(s, out=r)
         np.subtract(r, mag_tf[rows], out=r)
 
-    with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
-        each = map if pool is None else pool.map
+    with ThreadPoolExecutor(n_workers) as pool:
 
         def run(fn, *args) -> None:
             # list() waits for every block and re-raises a block's error
-            list(each(lambda rows: fn(rows, *args), blocks))
+            list(pool.map(lambda rows: fn(rows, *args), blocks))
 
         def synthesize(spec: np.ndarray, prev=None) -> np.ndarray:
             run(synthesize_rows, spec, prev)

@@ -17,6 +17,7 @@ Score convention everywhere: higher = more likely target / real.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,7 +27,7 @@ import numpy as np
 from .config import ProtocolConfig
 from .corpus import EmbeddingStore, Manifest
 from .errors import ProtocolError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 
 VAR_FLOOR = 1e-4
 
@@ -463,6 +464,19 @@ def write_score_csv(trials: Trials, scores, path) -> None:
     _write_rows(path, SCORE_FIELDS, [*quoted, flags, score_text])
 
 
+def write_antispoof_csv(real_files, synth_files, real_scores, synth_scores, path) -> None:
+    """Rows of path, ``real``/``synthetic`` and score (a float's ``repr``)."""
+    files = _quoted([str(p) for p in [*real_files, *synth_files]])
+    sources = ["real"] * len(real_files) + ["synthetic"] * len(synth_files)
+    scores = [repr(float(s)) for s in [*real_scores, *synth_scores]]
+    _write_rows(path, ("file", "source", "score"), [files, sources, scores])
+
+
+def _csv_reader(path):
+    """A ``csv.reader`` over the UTF-8 text of ``path``."""
+    return csv.reader(io.StringIO(read_text(path, ProtocolError), newline=""))
+
+
 def _csv_table(path, reader):
     """The column of each name in a ``csv.reader``'s header, and its
     non-blank rows.  A repeated name, or a row whose field count is not the
@@ -488,28 +502,25 @@ def read_score_csv(path) -> dict[str, float]:
     `_csv_table`), a repeated trial_id or a score that is not finite raises
     `ProtocolError` naming the file and line."""
     out: dict[str, float] = {}
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        index, rows = _csv_table(path, reader)
-        missing = set(SCORE_FIELDS) - set(index)
-        if missing:
-            raise ProtocolError(f"{path}: score CSV missing columns {sorted(missing)}")
-        i_id, i_score = index["trial_id"], index["score"]
-        for row in rows:
-            trial_id, text = row[i_id], row[i_score]
-            if trial_id in out:
-                raise ProtocolError(
-                    f"{path}, line {reader.line_num}: repeated trial_id {trial_id!r}"
-                )
-            try:
-                score = float(text)
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise ProtocolError(
-                    f"{path}, line {reader.line_num}: score {text!r} is not a finite number"
-                )
-            out[trial_id] = score
+    reader = _csv_reader(path)
+    index, rows = _csv_table(path, reader)
+    missing = set(SCORE_FIELDS) - set(index)
+    if missing:
+        raise ProtocolError(f"{path}: score CSV missing columns {sorted(missing)}")
+    i_id, i_score = index["trial_id"], index["score"]
+    for row in rows:
+        trial_id, text = row[i_id], row[i_score]
+        if trial_id in out:
+            raise ProtocolError(f"{path}, line {reader.line_num}: repeated trial_id {trial_id!r}")
+        try:
+            score = float(text)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ProtocolError(
+                f"{path}, line {reader.line_num}: score {text!r} is not a finite number"
+            )
+        out[trial_id] = score
     return out
 
 
@@ -535,37 +546,30 @@ def read_trial_csv(path) -> Trials:
     file and line."""
     columns: list[list] = [[] for _ in TRIAL_FIELDS]
     seen: set[str] = set()
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        index, rows = _csv_table(path, reader)
-        missing = set(TRIAL_FIELDS) - set(index)
-        if missing:
+    reader = _csv_reader(path)
+    index, rows = _csv_table(path, reader)
+    missing = set(TRIAL_FIELDS) - set(index)
+    if missing:
+        raise ProtocolError(
+            f"{path}, line {reader.line_num}: trial CSV missing columns {sorted(missing)}"
+        )
+    i_id, i_source, i_flag = index["trial_id"], index["source"], index["is_target"]
+    fields = [(column, index[name]) for column, name in zip(columns, TRIAL_FIELDS[:4])]
+    for row in rows:
+        trial_id, source, flag = row[i_id], row[i_source], row[i_flag]
+        if trial_id in seen:
+            raise ProtocolError(f"{path}, line {reader.line_num}: repeated trial_id {trial_id!r}")
+        if flag not in ("0", "1"):
+            raise ProtocolError(f"{path}, line {reader.line_num}: is_target {flag!r} is not 0 or 1")
+        if source not in ("real", "synthetic"):
+            raise ProtocolError(f"{path}, line {reader.line_num}: bad trial source {source!r}")
+        if source == "synthetic" and flag == "0":
             raise ProtocolError(
-                f"{path}, line {reader.line_num}: trial CSV missing columns {sorted(missing)}"
+                f"{path}, line {reader.line_num}: "
+                "synthetic trials always claim their target identity"
             )
-        i_id, i_source, i_flag = index["trial_id"], index["source"], index["is_target"]
-        fields = [(column, index[name]) for column, name in zip(columns, TRIAL_FIELDS[:4])]
-        for row in rows:
-            trial_id, source, flag = row[i_id], row[i_source], row[i_flag]
-            if trial_id in seen:
-                raise ProtocolError(
-                    f"{path}, line {reader.line_num}: repeated trial_id {trial_id!r}"
-                )
-            if flag not in ("0", "1"):
-                raise ProtocolError(
-                    f"{path}, line {reader.line_num}: is_target {flag!r} is not 0 or 1"
-                )
-            if source not in ("real", "synthetic"):
-                raise ProtocolError(
-                    f"{path}, line {reader.line_num}: bad trial source {source!r}"
-                )
-            if source == "synthetic" and flag == "0":
-                raise ProtocolError(
-                    f"{path}, line {reader.line_num}: "
-                    "synthetic trials always claim their target identity"
-                )
-            seen.add(trial_id)
-            for column, i in fields:
-                column.append(row[i])
-            columns[4].append(flag == "1")
+        seen.add(trial_id)
+        for column, i in fields:
+            column.append(row[i])
+        columns[4].append(flag == "1")
     return Trials(*columns[:4], np.array(columns[4], dtype=bool))

@@ -1,4 +1,4 @@
-"""Whole-file writes that a crash cannot leave half done.
+"""Whole-file writes that a crash cannot leave half done, and UTF-8 reads.
 
 Every file the toolkit writes (caches, stores, manifests, checkpoints,
 configs, reports, CSVs, WAVs and the fixture corpus) goes through
@@ -36,3 +36,13 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``; other bytes raise ``error``, naming the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}, line {line}: not UTF-8 text ({e.reason})") from e

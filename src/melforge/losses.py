@@ -3,7 +3,9 @@ attention, Wasserstein critic/generator losses with gradient penalty, and
 the per-batch dynamic combination that gives both terms equal weight.
 
 All means are over the unmasked elements of each term's grid; padded frames
-are excluded via the optional masks.
+are excluded via the optional masks.  `l1_plus_bce` is a tape primitive of
+its own, like those in ``autodiff.ops``; it logs how many predictions it
+clamps.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ops
+from .autodiff.tensor import make_op_output
 
 log = logging.getLogger(__name__)
 
@@ -21,42 +24,61 @@ CLAMP_EPS = 1e-7
 RATIO_GUARD = 1e-8
 
 
+def _mask_count(size: int, mask: np.ndarray) -> float:
+    """Unmasked elements among ``size`` under a broadcasting ``mask``."""
+    if mask.size == 0 or size % mask.size:
+        raise ValueError(f"mask shape {mask.shape} does not broadcast to {size} elements")
+    count = float(mask.sum()) * (size // mask.size)
+    if count == 0:
+        raise ValueError("mask excludes every element")
+    return count
+
+
 def masked_mean(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Mean over unmasked elements; ``mask`` broadcasts against x and is a
     constant (no gradient flows through it)."""
     if mask is None:
         return ops.mean(x)
-    if mask.size == 0 or x.data.size % mask.size:
-        raise ValueError(f"mask shape {mask.shape} does not broadcast to {x.shape}")
-    count = float(mask.sum()) * (x.data.size // mask.size)
-    if count == 0:
-        raise ValueError("mask excludes every element")
+    count = _mask_count(x.data.size, mask)
     return ops.div(ops.tsum(ops.mul(x, Tensor(mask.astype(x.dtype)))), count)
 
 
-def _clamped(y: Tensor) -> Tensor:
-    lo, hi = float(np.min(y.data)), float(np.max(y.data))
-    if lo <= 0.0 or hi >= 1.0:
-        log.warning(
-            "predictions outside (0,1): min=%g max=%g; clamping to [%g, %g]",
-            lo, hi, CLAMP_EPS, 1.0 - CLAMP_EPS,
-        )
-    return ops.clip(y, CLAMP_EPS, 1.0 - CLAMP_EPS)
-
-
 def l1_plus_bce(y: Tensor, s: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """E|y - s| + E[-s log y - (1-s) log(1-y)]."""
-    y = ad.as_tensor(y)
-    s = ad.as_tensor(s)
-    l1 = masked_mean(ops.absval(ops.sub(y, s)), mask)
-    yc = _clamped(y)
-    ce = ops.neg(
-        ops.add(
-            ops.mul(s, ops.log(yc)),
-            ops.mul(ops.sub(1.0, s), ops.log(ops.sub(1.0, yc))),
-        )
-    )
-    return ops.add(l1, masked_mean(ce, mask))
+    """E|y - s| + E[-s log yc - (1-s) log(1-yc)], yc = y clamped to
+    [CLAMP_EPS, 1 - CLAMP_EPS], as one tape node; ``s`` and ``mask`` are
+    constants, and each mean is taken as `masked_mean` takes it.  The
+    gradient is mask / count * (sign(y - s) + [lo < y < hi] (yc - s) /
+    (yc (1 - yc))): none for the cross-entropy at or beyond a bound."""
+    y, s = ad.as_tensor(y), ad.as_tensor(s)
+    yd, sd = y.data, s.data
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    inside = (yd > lo) & (yd < hi)
+    if clamped := yd.size - int(np.count_nonzero(inside)):
+        log.warning("clamped %d of %d predictions into [%g, 1 - %g]", clamped, yd.size, lo, lo)
+    yc = np.clip(yd, lo, hi)
+    diff = yd - sd
+    # the negated cross-entropy: mean(-ll) is -mean(ll) bit for bit
+    ll = sd * np.log(yc) + (1.0 - sd) * np.log(1.0 - yc)
+    if mask is None:
+        weight = diff.dtype.type(1.0 / yd.size)  # as ops.mean scales
+        value = np.abs(diff).sum() * weight - ll.sum() * weight
+    else:
+        count = diff.dtype.type(_mask_count(yd.size, mask))
+        m = mask.astype(diff.dtype)
+        value = (np.abs(diff) * m).sum() / count - (ll * m).sum() / count
+        weight = m / count
+    ctx = {"diff": diff, "yc": yc, "inside": inside, "s": sd, "weight": weight}
+    return make_op_output(value, _l1_plus_bce_vjp, (y,), ctx)
+
+
+def _l1_plus_bce_vjp(node, g, need):
+    c = node._ctx
+    yc = c["yc"]
+    gy = (yc - c["s"]) / (yc * (1.0 - yc))
+    gy *= c["inside"]
+    gy += np.sign(c["diff"])
+    gy *= g * c["weight"]
+    return (gy,)
 
 
 def guided_weight_value(n, t, n_total: int, t_total: int):

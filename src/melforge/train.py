@@ -250,29 +250,31 @@ class Sample:
 
 
 def load_training_samples(manifest: Manifest, store: EmbeddingStore) -> list[Sample]:
-    samples = []
+    """One sample per record; every record's caches and embedding are
+    checked before any cache is read."""
+    keys = []
     for r in manifest.records:
-        if not r.features:
-            raise FormatError(
-                f"{r.utterance_id}: manifest has no feature caches; run prepare first"
-            )
+        if missing := " or ".join(k for k in ("dmel", "lin") if k not in r.features):
+            raise FormatError(f"{r.utterance_id}: manifest has no {missing} feature cache;"
+                              " run prepare first")
         key = r.utterance_id if r.utterance_id in store else r.speaker_id
         if key not in store:
             raise CorpusError(
                 f"{r.utterance_id}: embedding store has neither this utterance"
                 f" nor its speaker {r.speaker_id!r}"
             )
-        samples.append(
-            Sample(
-                utterance_id=r.utterance_id,
-                speaker_id=r.speaker_id,
-                text_idx=encode(r.text, VOCAB).indices,
-                dmel=read_feature_cache(r.features["dmel"]),
-                lin=read_feature_cache(r.features["lin"]),
-                spk=store[key].vector,
-            )
+        keys.append(key)
+    return [
+        Sample(
+            utterance_id=r.utterance_id,
+            speaker_id=r.speaker_id,
+            text_idx=encode(r.text, VOCAB).indices,
+            dmel=read_feature_cache(r.features["dmel"]),
+            lin=read_feature_cache(r.features["lin"]),
+            spk=store[key].vector,
         )
-    return samples
+        for r, key in zip(manifest.records, keys)
+    ]
 
 
 def _pad(arrs: list[np.ndarray], length: int | None = None, dtype=np.float32):

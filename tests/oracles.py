@@ -11,6 +11,7 @@ their readers read through ``csv.DictReader``.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -395,3 +396,24 @@ def input_gradient_critic_loss(real, fake, u, disc_forward, gp_weight):
         d_real = disc_forward(ad.Tensor(real)).data
         d_fake = disc_forward(ad.Tensor(fake)).data
     return float(np.mean(d_fake) - np.mean(d_real) + gp_weight * np.mean((norms - 1.0) ** 2))
+
+
+def loop_l1_plus_bce(y, s, mask=None, eps: float = 1e-7):
+    """The masked L1 + binary cross-entropy loss and its gradient in y, one
+    element at a time: the cross-entropy reads y clamped to [eps, 1 - eps],
+    and passes a gradient only where eps < y < 1 - eps; |y - s| has
+    gradient 0 at y == s.  Both means are over the elements ``mask`` keeps."""
+    y = np.asarray(y, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    m = np.broadcast_to(np.ones(1) if mask is None else np.asarray(mask, dtype=np.float64), y.shape)
+    count = sum(float(m[i]) for i in np.ndindex(y.shape))
+    total = 0.0
+    grad = np.zeros(y.shape)
+    for i in np.ndindex(y.shape):
+        yi, si, wi = float(y[i]), float(s[i]), float(m[i]) / count
+        yc = min(max(yi, eps), 1.0 - eps)
+        ce = -si * math.log(yc) - (1.0 - si) * math.log(1.0 - yc)
+        total += wi * (abs(yi - si) + ce)
+        dce = -si / yc + (1.0 - si) / (1.0 - yc) if eps < yi < 1.0 - eps else 0.0
+        grad[i] = wi * ((yi > si) - (yi < si) + dce)
+    return total, grad

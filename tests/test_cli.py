@@ -4,6 +4,7 @@ codes, determinism and the external score-ingestion path."""
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -247,6 +248,27 @@ def test_train_manifest_without_caches_says_run_prepare_exit_2(
     args = _train_args(None, toy_corpus, tmp_path / "out", tiny_cfg_file, tmp_path / "raw.jsonl")
     assert run_cli(*args) == 2
     assert "run prepare first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["dmel", "lin"])
+def test_train_refuses_a_record_without_a_feature_kind_exit_2(
+    kind, trained_dir, prepared_dir, toy_corpus, tmp_path, monkeypatch, capsys
+):
+    """A record whose features lack one of the caches training reads exits
+    2, naming the utterance and the kind, before any cache is read."""
+    records = list(corpus.load_manifest(prepared_dir / "train.jsonl").records)
+    r = records[3]
+    records[3] = replace(r, features={k: v for k, v in r.features.items() if k != kind})
+    corpus.save_manifest(corpus.Manifest(tuple(records)), tmp_path / "m.jsonl")
+    read, calls = train.read_feature_cache, []
+    monkeypatch.setattr(train, "read_feature_cache", lambda p: calls.append(p) or read(p))
+    args = _train_args(
+        prepared_dir, toy_corpus, tmp_path / "out", trained_dir / "cfg.json", tmp_path / "m.jsonl"
+    )
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    assert f"{r.utterance_id}: manifest has no {kind} feature cache" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["missing", "not_json", "two_dirs"])
@@ -805,6 +827,63 @@ def test_ill_shaped_manifest_line_exit_2(
     capsys.readouterr()
     assert run_cli(*argv, "--config", tiny_cfg_file) == 2
     assert "bad.jsonl:2: bad manifest line" in capsys.readouterr().err
+
+
+_GOOD_RECORD = json.dumps({"utterance_id": "u", "speaker_id": "s", "wav": "u.wav", "text": "t"})
+_TRIALS = b"trial_id,claimed_speaker,utterance_id,source,is_target\r\n" + (
+    b"t1,spk0,u1,real,1\r\nt2,spk0,u2,real,0\r\nt3,spk0,u3,synthetic,1\r\n"
+)
+
+
+def _not_utf8_case(case, request, tmp_path):
+    """argv reading one file whose line 2 holds a byte that is not UTF-8,
+    that file, and the exit code its refusal takes."""
+    bad_bytes = b"\xff\xfe"
+    if case == "transcript":
+        root = tmp_path / "corpus"
+        shutil.copytree(request.getfixturevalue("toy_corpus"), root)
+        bad = sorted(root.rglob("*.txt"))[3]
+        bad.write_bytes(bad.read_bytes().strip() + b"\n" + bad_bytes)
+        return ["prepare", root, tmp_path / "prep", "--scheme", "all"], bad, 2
+    if case.startswith("manifest"):
+        bad = tmp_path / "m.jsonl"
+        bad.write_bytes(_GOOD_RECORD.encode() + b"\n" + _GOOD_RECORD.encode()[:-1] + bad_bytes + b"}\n")
+        if case == "manifest_train":
+            return ["train", "t2m", "--manifest", bad, "--embeddings", tmp_path / "e.mfem",
+                    "--out", tmp_path / "ck"], bad, 2
+        return ["eval-sv", "--protocol-dir", tmp_path / "proto", "--test-manifest", bad,
+                "--synth-manifest", bad, "--embeddings", tmp_path / "e.mfem"], bad, 2
+    if case == "synth_text":
+        args = _synth_args(request.getfixturevalue("trained_dir"),
+                           request.getfixturevalue("toy_corpus"), tmp_path)
+        bad = tmp_path / "t.txt"
+        bad.write_bytes(b"ab.\n" + bad_bytes)
+        return args, bad, 2
+    pdir = tmp_path / "proto"
+    pdir.mkdir()
+    (pdir / "enrollment.json").write_text('{"spk0": ["u0"]}')
+    if case == "trials_csv":
+        bad = pdir / "trials.csv"
+        bad.write_bytes(_TRIALS.replace(b"t1,", bad_bytes + b","))
+        return ["eval-sv", "--protocol-dir", pdir, "--embeddings", tmp_path / "e.mfem"], bad, 5
+    (pdir / "trials.csv").write_bytes(_TRIALS)
+    bad = tmp_path / "scores.csv"
+    bad.write_bytes(b"trial_id,claimed_speaker,source,is_target,score\n" + bad_bytes + b"\n")
+    return ["eval-sv", "--protocol-dir", pdir, "--scores", bad], bad, 5
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["transcript", "manifest_train", "manifest_eval_sv", "synth_text", "trials_csv", "scores_csv"],
+)
+def test_text_that_is_not_utf8_is_refused(case, request, tmp_path, capsys):
+    """A text input holding bytes that are not UTF-8 exits with its table
+    code (2 for corpus, manifest and text inputs, 5 for the protocol's
+    CSVs), naming the file and line, where it used to end in a traceback."""
+    argv, bad, code = _not_utf8_case(case, request, tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    assert f"{bad}, line 2: not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

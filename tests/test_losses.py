@@ -1,13 +1,15 @@
 """Objective-function checks: closed forms, elementwise oracles, guided
 weight geometry, Wasserstein losses and the per-batch combination rule."""
 
+import logging
+
 import numpy as np
 import pytest
 
 import melforge.autodiff as ad
 from melforge import losses
 from melforge.autodiff import Tensor, ops
-from oracles import max_rel_err
+from oracles import loop_l1_plus_bce, max_rel_err
 
 
 def _elementwise_recon(y, s):
@@ -73,6 +75,71 @@ def test_recon_lower_bound_is_target_entropy(rng):
     worse = float(losses.recon_loss_ssrn(Tensor(np.clip(s + 0.1, 0.01, 0.99)), Tensor(s)).data)
     assert best == pytest.approx(ent, abs=1e-9)
     assert worse > best
+
+
+def _oracle_case(case):
+    """(y, s, mask) in float64 for one loop-oracle case."""
+    rng = np.random.default_rng(len(case))
+    s = rng.uniform(0.0, 1.0, (4, 3, 5))
+    y = rng.uniform(0.01, 0.99, (4, 3, 5))
+    mask = None
+    if case == "bounds":  # at both clamp bounds, beyond them, and just inside
+        y[0, 0] = [1e-7, 1.0 - 1e-7, -0.2, 1.5, 2e-7]
+        y[1, 2] = [1.0 - 2e-7, 0.0, 1.0, 1e-7, 1.0 - 1e-7]
+    elif case == "equal":
+        y[::2] = s[::2]
+        y[1, 1, 1:3] = s[1, 1, 1:3]
+    elif case == "whole_samples_masked":
+        mask = np.ones((4, 1, 5))
+        mask[1] = mask[3] = 0.0
+        mask[2, :, 3:] = 0.0
+        y[1, 0, :2] = [-0.2, 1.5]  # masked out: no gradient, no loss
+    return y, s, mask
+
+
+@pytest.mark.parametrize("case", ["bounds", "equal", "whole_samples_masked"])
+def test_l1_plus_bce_matches_loop_oracle(case):
+    """The one-node loss and its gradient against the per-element loop, in
+    float64, where the clamp bounds, y == s and masked samples are hit."""
+    y, s, mask = _oracle_case(case)
+    want, want_grad = loop_l1_plus_bce(y, s, mask)
+    with ad.using_dtype(np.float64):
+        yt = Tensor(y, requires_grad=True)
+        loss = losses.l1_plus_bce(yt, Tensor(s), mask)
+        (grad,) = ad.grad(loss, [yt])
+    assert abs(float(loss.data) - want) <= 1e-12 * abs(want)
+    assert max_rel_err(grad.data, want_grad) <= 1e-12
+    if mask is not None:
+        assert not grad.data[[1, 3]].any()
+
+
+def test_ssrn_recon_loss_records_one_node(monkeypatch, rng):
+    """The SSRN reconstruction loss records one tape node, counted by
+    wrapping ``make_op_output`` in every module that calls it."""
+    made = []
+    real = ad.tensor.make_op_output
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out._vjp is not None:
+            made.append(args[1])
+        return out
+
+    for module in (ops, losses):
+        monkeypatch.setattr(module, "make_op_output", counting, raising=False)
+    y = Tensor(rng.uniform(0.1, 0.9, (2, 9, 4)).astype(np.float32), requires_grad=True)
+    mask = np.ones((2, 1, 4), dtype=np.float32)
+    losses.recon_loss_ssrn(y, Tensor(rng.uniform(0.0, 1.0, (2, 9, 4))), mask)
+    assert len(made) == 1
+
+
+def test_recon_warning_counts_clamped_predictions(caplog):
+    s = Tensor(np.full((1, 5), 0.5))
+    with caplog.at_level(logging.WARNING, logger="melforge.losses"):
+        losses.recon_loss_ssrn(Tensor(np.array([[0.5, 0.2, 0.8, 0.3, 0.6]])), s)
+        assert not caplog.records
+        losses.recon_loss_ssrn(Tensor(np.array([[1.5, -0.2, 0.5, 1e-7, 0.4]])), s)
+    assert "clamped 3 of 5 predictions" in caplog.text
 
 
 def test_guided_weight_values():
