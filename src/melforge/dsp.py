@@ -158,14 +158,16 @@ def istft(
     return Waveform(out, sample_rate=sample_rate)
 
 
-def _gl_workers(t_frames: int) -> int:
-    """Worker threads for Griffin-Lim over ``t_frames`` STFT frames: the
-    CPUs this process may run on, at most one per frame, at least one."""
+def worker_count(n_tasks: int) -> int:
+    """Worker threads for a pool over ``n_tasks`` tasks: the CPUs this
+    process may run on, at most one per task, at least one.  Griffin-Lim
+    (one task per STFT frame) and the gmm-lfcc anti-spoofing backend (one
+    per WAV) size their pools by it."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, t_frames))
+    return max(1, min(cpus, n_tasks))
 
 
 def _gl_blocks(t_frames: int, n_workers: int) -> list[slice]:
@@ -242,7 +244,7 @@ def griffin_lim(
     real = np.empty(mag_tf.shape)  # |spec| and its variants
     work = np.empty(mag_tf.shape, dtype=np.complex128)  # projected spectrum
     specs = [np.empty(mag_tf.shape, dtype=np.complex128) for _ in range(3)]
-    n_workers = _gl_workers(t_frames)
+    n_workers = worker_count(t_frames)
     blocks = _gl_blocks(t_frames, n_workers)
 
     def synthesize_rows(rows: slice, spec: np.ndarray, prev) -> None:
@@ -481,7 +483,9 @@ def resample(wave: Waveform, target_rate: int) -> Waveform:
 
 
 def read_wav(path) -> Waveform:
-    """PCM16 mono RIFF/WAVE, samples scaled to [-1, 1]."""
+    """PCM16 mono RIFF/WAVE, samples scaled to [-1, 1].  A file that ends
+    inside its header, or holds fewer samples than its data chunk declares,
+    raises `FormatError` as a truncated WAV."""
     try:
         with wave_mod.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
@@ -491,11 +495,14 @@ def read_wav(path) -> Waveform:
             if f.getcomptype() != "NONE":
                 raise FormatError(f"{path}: compressed WAV is not supported")
             rate = f.getframerate()
-            raw = f.readframes(f.getnframes())
+            n = f.getnframes()
+            raw = f.readframes(n)
     except wave_mod.Error as e:
         raise FormatError(f"{path}: malformed WAV ({e})") from e
     except EOFError as e:
         raise FormatError(f"{path}: truncated WAV") from e
+    if len(raw) != 2 * n:
+        raise FormatError(f"{path}: truncated WAV ({len(raw) // 2} of {n} samples)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
 

@@ -9,7 +9,7 @@ features, and the trained critics themselves (whitebox variants).
 
 A trial list is held as parallel columns (`Trials`), from `build_protocol`
 or `read_trial_csv` through `score_trials` to the trial and score CSVs,
-which are each written as one string, quoted as ``csv.writer`` quotes.
+which are written a chunk of rows at a time, quoted as ``csv.writer`` quotes.
 
 Score convention everywhere: higher = more likely target / real.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -448,12 +449,18 @@ def _quoted(column: list[str]) -> list[str]:
     return ['"' + v.replace('"', '""') + '"' if _needs_quotes(v) else v for v in column]
 
 
+_ROWS_PER_WRITE = 8192
+
+
 def _write_rows(path, header: tuple[str, ...], columns) -> None:
     """A CSV of parallel columns of field text, as ``csv.writer`` writes it
-    (CRLF line ends), built as one string."""
+    (CRLF line ends), written as one string per ``_ROWS_PER_WRITE`` rows, so
+    a long table never holds all its text at once."""
     lines = map(",".join, zip(*columns))
     with atomic_write(path, newline="") as f:
-        f.write("\r\n".join([",".join(header), *lines, ""]))
+        f.write(",".join(header) + "\r\n")
+        while chunk := list(itertools.islice(lines, _ROWS_PER_WRITE)):
+            f.write("\r\n".join([*chunk, ""]))
 
 
 def write_score_csv(trials: Trials, scores, path) -> None:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -1004,6 +1005,104 @@ def test_eval_antispoof_identical_sets_eer_half(toy_corpus, tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["eer"] == pytest.approx(0.5, abs=0.05)
+
+
+def _gmm_antispoof(real, synth, out):
+    return run_cli(
+        "eval-antispoof", "--real", real, "--synth", synth,
+        "--gmm-components", 2, "--gmm-iters", 3, "--out", out,
+    )
+
+
+def test_eval_antispoof_same_bytes_for_any_worker_count(toy_corpus, tmp_path, monkeypatch):
+    """On 1, 2 and 3 workers, with frequent thread switches, the score CSV
+    is the same bytes and the report the same apart from its timings; no
+    thread outlives the call."""
+    before = set(threading.enumerate())
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dsp, "worker_count", lambda n, w=workers: w)
+            out = tmp_path / f"w{workers}"
+            assert _gmm_antispoof(toy_corpus / "spk0", toy_corpus / "spk1", out) == 0
+            assert set(threading.enumerate()) == before
+            report = json.loads((out / "report.json").read_text())
+            del report["timings_ms"]
+            results.append((report, (out / "antispoof_scores.csv").read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+
+
+def test_eval_antispoof_gmm_report_records_timings_and_frames(toy_corpus, tmp_path, monkeypatch):
+    """The gmm-lfcc report gains ``timings_ms`` for its three stages and the
+    LFCC frame count of each set, which the two EM fits (exactly two calls
+    of ``ev.gmm_fit_em``, looked up at call time) receive."""
+    fits = []
+    fit = ev.gmm_fit_em
+
+    def tap(features, *args, **kwargs):
+        fits.append(len(features))
+        return fit(features, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "gmm_fit_em", tap)
+    out = tmp_path / "anti"
+    assert _gmm_antispoof(toy_corpus / "spk0", toy_corpus / "spk1", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {
+        "backend", "eer", "n_real", "n_synthetic", "feature_hash", "timings_ms", "lfcc_frames"
+    }
+    assert set(report["timings_ms"]) == {"features", "fit", "score"}
+    assert min(report["timings_ms"].values()) >= 0
+    frames = {
+        label: sum(dsp.lfcc(dsp.read_wav(w)).shape[1] for w in (toy_corpus / spk).glob("*.wav"))
+        for label, spk in (("real", "spk0"), ("synthetic", "spk1"))
+    }
+    assert report["lfcc_frames"] == frames
+    assert sorted(fits) == sorted(frames.values())
+
+
+@pytest.mark.parametrize("bad_set", ["real", "synth"])
+def test_eval_antispoof_truncated_wav_exit_2_names_first_bad_file(
+    bad_set, toy_corpus, tmp_path, capsys, monkeypatch
+):
+    """Of two truncated WAVs, one second in ``bad_set`` and one last in the
+    synthetic set, the first in listing order is named (exit 2), although
+    its read is held back until the other has failed; no report is written
+    and no thread outlives the call."""
+    sets = {}
+    for name, spk in (("real", "spk0"), ("synth", "spk1")):
+        sets[name] = tmp_path / name
+        sets[name].mkdir()
+        for wav in sorted((toy_corpus / spk).glob("*.wav"))[:4]:
+            shutil.copy(wav, sets[name] / wav.name)
+    first = sorted(sets[bad_set].glob("*.wav"))[1]
+    later = sorted(sets["synth"].glob("*.wav"))[-1]
+    for wav in (first, later):
+        wav.write_bytes(wav.read_bytes()[:1001])
+    read_wav, later_failed = dsp.read_wav, threading.Event()
+
+    def held_read_wav(path):
+        if path == first:
+            later_failed.wait(timeout=10)
+        try:
+            return read_wav(path)
+        finally:
+            if path == later:
+                later_failed.set()
+
+    monkeypatch.setattr(dsp, "read_wav", held_read_wav)
+    monkeypatch.setattr(dsp, "worker_count", lambda n: 3)
+    before = set(threading.enumerate())
+    capsys.readouterr()
+    assert _gmm_antispoof(sets["real"], sets["synth"], tmp_path / "anti") == 2
+    err = capsys.readouterr().err
+    assert f"{first}: truncated WAV" in err and str(later) not in err
+    assert later_failed.is_set()
+    assert not (tmp_path / "anti" / "report.json").exists()
+    assert set(threading.enumerate()) == before
 
 
 def _critic_scores(ck, variant, wavs):

@@ -179,7 +179,7 @@ def test_griffin_lim_same_bytes_for_any_worker_count(momentum, rng, monkeypatch)
     try:
         sys.setswitchinterval(1e-6)
         for workers in (1, 3):
-            monkeypatch.setattr(dsp, "_gl_workers", lambda n_blocks, w=workers: w)
+            monkeypatch.setattr(dsp, "worker_count", lambda n_blocks, w=workers: w)
             wave, errors = dsp.griffin_lim(mag, 12, momentum=momentum, return_errors=True)
             results.append((wave.samples.tobytes(), errors))
             assert set(threading.enumerate()) == before
@@ -195,7 +195,7 @@ def test_griffin_lim_same_bytes_with_fewer_frames_than_workers(t_frames, rng, mo
     mag = rng.random((513, t_frames)) ** 3
     results = []
     for workers in (1, 3):
-        monkeypatch.setattr(dsp, "_gl_workers", lambda t, w=workers: w)
+        monkeypatch.setattr(dsp, "worker_count", lambda t, w=workers: w)
         wave, errors = dsp.griffin_lim(mag, 12, momentum=1.5, return_errors=True)
         results.append((wave.samples.tobytes(), errors))
     assert results[0] == results[1]
@@ -222,9 +222,9 @@ def test_griffin_lim_worker_count():
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    assert dsp._gl_workers(0) == 1
-    assert dsp._gl_workers(1) == 1
-    assert dsp._gl_workers(10_000) == cpus
+    assert dsp.worker_count(0) == 1
+    assert dsp.worker_count(1) == 1
+    assert dsp.worker_count(10_000) == cpus
 
 
 def test_mel_scale_value():
@@ -368,6 +368,18 @@ def test_wav_rejects_stereo_and_garbage(tmp_path, rng):
     bad.write_bytes(b"not a wav at all")
     with pytest.raises(FormatError):
         dsp.read_wav(bad)
+
+
+@pytest.mark.parametrize("keep", [20, 45, 500], ids=["header", "odd_byte", "data"])
+def test_wav_truncated_is_refused(keep, tmp_path):
+    """A WAV cut inside its header, or inside its data chunk at an odd or
+    an even byte, is a truncated WAV; a cut data chunk used to read as a
+    shorter waveform, or to fail in numpy on an odd byte count."""
+    p = tmp_path / "x.wav"
+    dsp.write_wav(dsp.Waveform(np.zeros(1000), 16000), p)
+    p.write_bytes(p.read_bytes()[:keep])
+    with pytest.raises(FormatError, match="truncated WAV"):
+        dsp.read_wav(p)
 
 
 def test_feature_cache_roundtrip_and_truncation(tmp_path, rng):

@@ -521,6 +521,33 @@ def test_csv_writers_equal_csv_writer_and_read_back(tmp_path, rng):
     assert b'"a,b","spk,0","u,0",real,1\r\n' in (tmp_path / "odd_t.csv").read_bytes()
 
 
+def test_csv_writers_equal_csv_writer_across_a_write_chunk(tmp_path, rng):
+    """8,193 rows are written as two chunks, of 8,192 rows and of one; the
+    files are csv.writer's bytes, with quoted ids on both sides of the
+    chunk boundary and in the last row."""
+    n = 8193
+    assert n == ev._ROWS_PER_WRITE + 1
+    odd = {0: "a,b", 8190: 'say "hi"', 8191: "lf\nid", 8192: "cr\rid"}
+    sources = ["real", "synthetic"]  # every third trial synthetic, and a target
+    trials = _trials(
+        *(
+            (odd.get(i, f"t{i}"), f"spk,{i % 7}", f"u{i}", sources[i % 3 == 0], i % 3 != 1)
+            for i in range(n)
+        )
+    )
+    scores = rng.standard_normal(n) * 1e3
+    ev.write_trial_csv(trials, tmp_path / "t.csv")
+    csv_writer_trial_csv(trials, tmp_path / "t_oracle.csv")
+    ev.write_score_csv(trials, scores, tmp_path / "s.csv")
+    csv_writer_score_csv(trials, scores, tmp_path / "s_oracle.csv")
+    for kind in ("t", "s"):
+        got = (tmp_path / f"{kind}.csv").read_bytes()
+        assert got == (tmp_path / f"{kind}_oracle.csv").read_bytes(), kind
+        assert got.count(b"\r\n") == n + 1
+    last = f'\r\n"cr\rid","spk,2",real,1,{float(scores[-1])!r}\r\n'
+    assert (tmp_path / "s.csv").read_bytes().endswith(last.encode())
+
+
 def test_curve_csv_equals_csv_writer(tmp_path, rng):
     """With and without non-target scores (FAR NaN), over the infinite end
     thresholds: the same bytes as csv.writer row by row."""
