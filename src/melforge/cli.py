@@ -25,8 +25,8 @@ from pathlib import Path
 # program's matrices are small, and on a busy two-vCPU machine OpenBLAS at
 # its default two threads made `model.tenc_forward` on 100 characters take
 # about 100 ms, against 6 ms with one.  This must run before numpy loads
-# OpenBLAS.  Griffin-Lim's worker threads make no BLAS call; those of the
-# gmm-lfcc backend make theirs on one BLAS thread each.
+# OpenBLAS.  Griffin-Lim's worker threads make no BLAS call; those of
+# `prepare` and of the gmm-lfcc backend make theirs on one BLAS thread each.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -70,8 +70,6 @@ def _load_cfg(args) -> RunConfig:
 
 
 def cmd_prepare(args) -> int:
-    if args.jobs < 1:
-        raise CorpusError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -80,8 +78,8 @@ def cmd_prepare(args) -> int:
     train_man, test_man = corpus.make_split(manifest, scheme)
     ref_lin, ref_mel = corpus.corpus_reference_levels(train_man, cfg.dsp)
     fcfg = cfg.dsp.with_refs(ref_lin, ref_mel)
-    train_feat = corpus.precompute_features(train_man, fcfg, out / "features", jobs=args.jobs)
-    test_feat = corpus.precompute_features(test_man, fcfg, out / "features", jobs=args.jobs)
+    train_feat = corpus.precompute_features(train_man, fcfg, out / "features")
+    test_feat = corpus.precompute_features(test_man, fcfg, out / "features")
     corpus.save_manifest(train_feat, out / "train.jsonl")
     corpus.save_manifest(test_feat, out / "test.jsonl")
     report = {
@@ -520,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--scheme", default="s3", choices=sorted(corpus.SPLIT_SCHEMES))
     prep.add_argument("--seed", type=int)
     prep.add_argument("--config")
-    prep.add_argument("--jobs", type=int, default=1)
     prep.set_defaults(func=cmd_prepare)
 
     tr = sub.add_parser("train", help="adversarial training of t2m or ssrn")

@@ -22,7 +22,7 @@ import numpy as np
 from . import dsp, textproc
 from .config import feature_hash
 from .errors import CorpusError, FormatError
-from .fileio import atomic_write, read_text
+from .fileio import BinaryReader, atomic_write, read_text
 from .model import SpeakerEmbedding, unit_normalized
 
 log = logging.getLogger(__name__)
@@ -222,17 +222,16 @@ def _extract_one(record: ManifestRecord, config: dsp.FeatureConfig, paths) -> bo
     return True
 
 
-def precompute_features(
-    manifest: Manifest, config: dsp.FeatureConfig, out_dir, jobs: int = 1
-) -> Manifest:
+def precompute_features(manifest: Manifest, config: dsp.FeatureConfig, out_dir) -> Manifest:
     """Write (or reuse) feature caches for every record.
 
     Caches are pure functions of (audio bytes, config); a features.json
     with the config hash marks the cache directory, and a hash change
     invalidates everything, as does a marker that is not a JSON object
     holding a hash.  Unreadable audio skips the record and the run
-    continues.  Extraction is per-utterance parallel under ``jobs``; the
-    outputs are order-independent.
+    continues.  Utterances are extracted on a thread pool that lives only
+    for the call, sized by `dsp.worker_count`; each writes only its own
+    caches, so the outputs do not depend on the worker count.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,7 +260,7 @@ def precompute_features(
         if not (reuse and all(Path(p).exists() for p in all_paths[r.utterance_id].values()))
     ]
     ok = {r.utterance_id for r in manifest.records} - {r.utterance_id for r in todo}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(dsp.worker_count(len(todo))) as pool:
         results = pool.map(lambda r: _extract_one(r, config, all_paths[r.utterance_id]), todo)
         ok.update(r.utterance_id for r, good in zip(todo, results) if good)
     records = [
@@ -323,27 +322,19 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingStore:
-    with open(path, "rb") as f:
-        head = f.read(12)
-        if len(head) < 12 or head[:4] != _EMB_MAGIC:
+    with BinaryReader(path) as r:
+        head = r.read(12, "embedding-store header")
+        if head[:4] != _EMB_MAGIC:
             raise FormatError(f"{path}: bad embedding-store header")
         dim, count = struct.unpack("<II", head[4:])
         store = EmbeddingStore(dim)
         for i in range(count):
-            lb = f.read(2)
-            if len(lb) < 2:
-                raise FormatError(f"{path}: truncated at entry {i}")
-            (klen,) = struct.unpack("<H", lb)
-            kb = f.read(klen)
-            if len(kb) != klen:
-                raise FormatError(f"{path}: truncated key at entry {i}")
+            (klen,) = struct.unpack("<H", r.read(2, "key length at entry %d", i))
             try:
-                key = kb.decode("utf-8")
+                key = r.read(klen, "key at entry %d", i).decode("utf-8")
             except UnicodeDecodeError as e:
                 raise FormatError(f"{path}: key of entry {i} is not UTF-8 ({e})") from e
-            vec = f.read(dim * 4)
-            if len(vec) != dim * 4:
-                raise FormatError(f"{path}: truncated vector for {key!r} (entry {i})")
+            vec = r.read(dim * 4, "vector for %r (entry %d)", key, i)
             try:
                 store.add(key, np.frombuffer(vec, dtype="<f4"))
             except ValueError as e:  # zero or non-finite vector

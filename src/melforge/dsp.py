@@ -35,7 +35,7 @@ import scipy.fft
 import scipy.signal
 
 from .errors import FormatError
-from .fileio import atomic_write
+from .fileio import BinaryReader, atomic_write
 
 LOG_FLOOR = 1e-5  # magnitude ratio floor inside log10: exactly -100 dB
 
@@ -161,8 +161,9 @@ def istft(
 def worker_count(n_tasks: int) -> int:
     """Worker threads for a pool over ``n_tasks`` tasks: the CPUs this
     process may run on, at most one per task, at least one.  Griffin-Lim
-    (one task per STFT frame) and the gmm-lfcc anti-spoofing backend (one
-    per WAV) size their pools by it."""
+    (one task per STFT frame), `prepare`'s feature extraction (one per
+    utterance) and the gmm-lfcc anti-spoofing backend (one per WAV) size
+    their pools by it."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -485,7 +486,8 @@ def resample(wave: Waveform, target_rate: int) -> Waveform:
 def read_wav(path) -> Waveform:
     """PCM16 mono RIFF/WAVE, samples scaled to [-1, 1].  A file that ends
     inside its header, or holds fewer samples than its data chunk declares,
-    raises `FormatError` as a truncated WAV."""
+    raises `FormatError` as a truncated WAV; a header sample rate of 0 Hz,
+    as a malformed one."""
     try:
         with wave_mod.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
@@ -495,6 +497,8 @@ def read_wav(path) -> Waveform:
             if f.getcomptype() != "NONE":
                 raise FormatError(f"{path}: compressed WAV is not supported")
             rate = f.getframerate()
+            if rate <= 0:
+                raise FormatError(f"{path}: malformed WAV (sample rate {rate} Hz)")
             n = f.getnframes()
             raw = f.readframes(n)
     except wave_mod.Error as e:
@@ -538,16 +542,12 @@ def write_feature_cache(grid: np.ndarray, path) -> None:
 
 
 def read_feature_cache(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        head = f.read(16)
-        if len(head) < 16 or head[:4] != _CACHE_MAGIC:
+    with BinaryReader(path) as r:
+        head = r.read(16, "feature-cache header")
+        if head[:4] != _CACHE_MAGIC:
             raise FormatError(f"{path}: bad feature-cache header")
         version, rows, cols = struct.unpack("<III", head[4:])
         if version != _CACHE_VERSION:
             raise FormatError(f"{path}: unsupported cache version {version}")
-        payload = f.read(rows * cols * 4)
-        if len(payload) != rows * cols * 4:
-            raise FormatError(
-                f"{path}: truncated cache at offset {16 + len(payload)}"
-            )
+        payload = r.read(rows * cols * 4, "%d x %d cache", rows, cols)
     return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()

@@ -51,6 +51,7 @@ from .autodiff import Tensor, nn, ops
 
 OUT_BIAS_INIT = -2.0
 GATE_BIAS_INIT = -1.0
+STOP_RUN = 10  # low-energy frames in a row that end a decode at the last character
 
 
 @dataclass(frozen=True)
@@ -478,7 +479,6 @@ def t2m_generate(
     cfg: ModelConfig,
     max_frames: int = 200,
     stop_energy: float = 0.02,
-    stop_run: int = 10,
 ):
     """Frame-by-frame constrained decoding in step mode.
 
@@ -492,7 +492,7 @@ def t2m_generate(
     [p_prev, p_prev + 2] (p starts at 0), renormalized, and the new position
     is its argmax (ties -> lowest index).  The emitted path is therefore
     monotone with steps in {0, 1, 2}.  Generation stops once the path has
-    reached the last character and ``stop_run`` consecutive frames have mean
+    reached the last character and ``STOP_RUN`` consecutive frames have mean
     magnitude below ``stop_energy``, or at ``max_frames``.
 
     float32 parameters give a float32 mel, float64 parameters a float64 one.
@@ -536,7 +536,7 @@ def t2m_generate(
         mel[:, t] = frame
         p_prev = p_t
         low_run = low_run + 1 if frame.mean() < stop_energy else 0
-        if p_t >= n - 1 and low_run >= stop_run:
+        if p_t >= n - 1 and low_run >= STOP_RUN:
             break
     t = len(path)
     return mel[:, :t].copy(), att[:, :t].copy(), path

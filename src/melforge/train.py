@@ -34,6 +34,7 @@ config, then fill it by `restore`, which checks each name and shape.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from collections.abc import Callable
@@ -48,7 +49,7 @@ from .config import RunConfig, feature_hash
 from .corpus import EmbeddingStore, Manifest
 from .dsp import read_feature_cache
 from .errors import CompatibilityError, CorpusError, FormatError, TrainingAborted
-from .fileio import atomic_write
+from .fileio import BinaryReader, atomic_write
 from .model import DiscriminatorConfig
 from .textproc import CharVocab, encode
 
@@ -97,27 +98,23 @@ def _write_tensor_table(f, table: dict[str, np.ndarray]) -> None:
         f.write(arr.tobytes())
 
 
-def _read_tensor_table(f, path) -> dict[str, np.ndarray]:
-    raw = f.read(4)
-    if len(raw) < 4:
-        raise FormatError(f"{path}: truncated at offset {f.tell()}")
-    (count,) = struct.unpack("<I", raw)
+def _read_tensor_table(r: BinaryReader) -> dict[str, np.ndarray]:
+    (count,) = struct.unpack("<I", r.read(4, "tensor count"))
     table = {}
     for _ in range(count):
+        (nlen,) = struct.unpack("<H", r.read(2, "tensor name length"))
         try:
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            buf = f.read(size * 4)
-            if len(buf) != size * 4:
-                raise FormatError(f"{path}: truncated tensor {name!r} at offset {f.tell()}")
-            table[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-        except struct.error as e:
-            raise FormatError(f"{path}: truncated at offset {f.tell()} ({e})") from e
+            name = r.read(nlen, "tensor name").decode("utf-8")
         except UnicodeDecodeError as e:
-            raise FormatError(f"{path}: tensor name at offset {f.tell()} is not UTF-8") from e
+            at = r.offset - nlen
+            raise FormatError(f"{r.path}: tensor name at offset {at} is not UTF-8") from e
+        (ndim,) = struct.unpack("<I", r.read(4, "rank of tensor %r", name))
+        shape = struct.unpack(f"<{ndim}I", r.read(4 * ndim, "shape of tensor %r", name))
+        buf = r.read(4 * math.prod(shape), "tensor %r", name)
+        try:
+            table[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
+        except ValueError as e:  # more axes than numpy allows
+            raise FormatError(f"{r.path}: tensor {name!r}: {e}") from e
     return table
 
 
@@ -152,16 +149,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path, expect_hash: str | None = None, force: bool = False) -> Checkpoint:
-    with open(path, "rb") as f:
-        head = f.read(12)
-        if len(head) < 12 or head[:4] != CKPT_MAGIC:
+    with BinaryReader(path) as r:
+        head = r.read(12, "checkpoint header")
+        if head[:4] != CKPT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint header")
         version, mlen = struct.unpack("<II", head[4:])
         if version != CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        blob = f.read(mlen)
-        if len(blob) != mlen:
-            raise FormatError(f"{path}: truncated metadata at offset {f.tell()}")
+        blob = r.read(mlen, "metadata")
         try:
             meta = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -188,12 +183,12 @@ def load_checkpoint(path, expect_hash: str | None = None, force: bool = False) -
             RunConfig.from_dict(meta.get("config", {}))
         except (FormatError, CompatibilityError) as e:
             raise type(e)(f"{path}: {e}") from e
-        params = _read_tensor_table(f, path)
-        disc_params = _read_tensor_table(f, path)
-        m = _read_tensor_table(f, path)
-        v = _read_tensor_table(f, path)
-        dm = _read_tensor_table(f, path)
-        dv = _read_tensor_table(f, path)
+        params = _read_tensor_table(r)
+        disc_params = _read_tensor_table(r)
+        m = _read_tensor_table(r)
+        v = _read_tensor_table(r)
+        dm = _read_tensor_table(r)
+        dv = _read_tensor_table(r)
     if expect_hash is not None and meta["feature_hash"] != expect_hash and not force:
         raise CompatibilityError(
             f"{path}: feature hash {meta['feature_hash']} != expected {expect_hash}"

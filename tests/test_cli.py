@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -79,11 +80,14 @@ def test_prepare_missing_corpus_exit_2(tmp_path):
     assert run_cli("prepare", tmp_path / "nope", tmp_path / "out") == 2
 
 
-@pytest.mark.parametrize("jobs", [0, -2])
-def test_prepare_refuses_jobs_below_one_exit_2(toy_corpus, tmp_path, capsys, jobs):
-    assert run_cli("prepare", toy_corpus, tmp_path / "out", "--jobs", jobs) == 2
-    assert "--jobs" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "train.jsonl").exists()
+def test_prepare_has_no_jobs_option_exit_2(toy_corpus, tmp_path, capsys):
+    """prepare sizes its pool by the CPUs it may run on: argparse refuses
+    --jobs."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("prepare", toy_corpus, tmp_path / "out", "--jobs", 2)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +476,23 @@ def test_synth_refuses_checkpoint_in_wrong_slot_exit_4(
     args[args.index("--ssrn") + 1] = trained_dir / f"{ssrn}_latest.mfck"
     assert run_cli(*args) == 4
     assert "checkpoint is for" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_synth_refuses_corrupt_tensor_rank_exit_2(trained_dir, toy_corpus, tmp_path, capsys):
+    """A t2m checkpoint whose first tensor claims 2**32 - 1 axes exits with
+    code 2, naming the file, before anything of that size is allocated."""
+    data = (trained_dir / "t2m_latest.mfck").read_bytes()
+    (mlen,) = struct.unpack("<I", data[8:12])
+    (nlen,) = struct.unpack("<H", data[12 + mlen + 4 : 12 + mlen + 6])
+    ndim_at = 12 + mlen + 6 + nlen
+    bad = tmp_path / "bad.mfck"
+    bad.write_bytes(data[:ndim_at] + b"\xff" * 4 + data[ndim_at + 4 :])
+    args = _synth_args(trained_dir, toy_corpus, tmp_path)
+    args[args.index("--t2m") + 1] = bad
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    assert f"error: {bad}: truncated shape of tensor" in capsys.readouterr().err
     assert not (tmp_path / "x.wav").exists()
 
 
@@ -1103,6 +1124,27 @@ def test_eval_antispoof_truncated_wav_exit_2_names_first_bad_file(
     assert later_failed.is_set()
     assert not (tmp_path / "anti" / "report.json").exists()
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("command", ["prepare", "eval-antispoof"])
+def test_zero_rate_wav_exit_2(command, toy_corpus, tmp_path, capsys):
+    """A WAV whose header gives 0 Hz is malformed: prepare (in its
+    reference-level pass) and eval-antispoof exit with code 2, naming it."""
+    root = tmp_path / "corpus"
+    shutil.copytree(toy_corpus, root)
+    bad = sorted((root / "spk0").glob("*.wav"))[0]
+    data = bad.read_bytes()
+    bad.write_bytes(data[:24] + bytes(4) + data[28:])  # the fmt chunk's rate
+    if command == "prepare":
+        args = ["prepare", root, tmp_path / "out", "--scheme", "all"]
+    else:
+        args = ["eval-antispoof", "--real", root / "spk0", "--synth", root / "spk1",
+                "--gmm-components", 2, "--gmm-iters", 3, "--out", tmp_path / "out"]
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    assert f"error: {bad}: malformed WAV (sample rate 0 Hz)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out" / "train.jsonl").exists()
 
 
 def _critic_scores(ck, variant, wavs):

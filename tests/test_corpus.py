@@ -2,6 +2,8 @@
 store format."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -180,14 +182,35 @@ def test_cached_features_match_fresh(toy_corpus, tmp_path):
             )
 
 
-def test_precompute_parallel_matches_serial(toy_corpus, tmp_path):
+def test_precompute_parallel_matches_serial(toy_corpus, tmp_path, monkeypatch):
+    """One worker, and three sharing the utterances with frequent thread
+    switches, write the same cache bytes; the pool is sized for the
+    utterances to extract, and no thread outlives the call."""
     man = corpus.build_manifest(toy_corpus)
     small = Manifest(man.records[:4])
     fcfg = dsp.FeatureConfig(ref_lin=100.0, ref_mel=200.0)
-    corpus.precompute_features(small, fcfg, tmp_path / "serial", jobs=1)
-    corpus.precompute_features(small, fcfg, tmp_path / "par", jobs=4)
-    for p in sorted((tmp_path / "serial").glob("*.mfrg")):
-        assert p.read_bytes() == (tmp_path / "par" / p.name).read_bytes()
+    asked = []
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 3):
+
+            def worker_count(n_tasks, w=workers):
+                asked.append(n_tasks)
+                return w
+
+            monkeypatch.setattr(dsp, "worker_count", worker_count)
+            corpus.precompute_features(small, fcfg, tmp_path / f"w{workers}")
+            assert set(threading.enumerate()) == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert asked == [4, 4]
+    caches = sorted(p.name for p in (tmp_path / "w1").glob("*.mfrg"))
+    assert len(caches) == 4 * len(dsp.FEATURE_KINDS)
+    assert caches == sorted(p.name for p in (tmp_path / "w3").glob("*.mfrg"))
+    for name in caches:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes()
 
 
 def test_embedding_store_roundtrip(tmp_path, rng):

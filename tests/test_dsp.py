@@ -370,6 +370,17 @@ def test_wav_rejects_stereo_and_garbage(tmp_path, rng):
         dsp.read_wav(bad)
 
 
+def test_wav_zero_sample_rate_is_refused(tmp_path):
+    """A header sample rate of 0 Hz is a malformed WAV, not a ValueError
+    from `Waveform`."""
+    p = tmp_path / "x.wav"
+    dsp.write_wav(dsp.Waveform(np.zeros(100), 16000), p)
+    data = p.read_bytes()
+    p.write_bytes(data[:24] + bytes(4) + data[28:])  # the fmt chunk's rate
+    with pytest.raises(FormatError, match=re.escape(f"{p}: malformed WAV (sample rate 0 Hz)")):
+        dsp.read_wav(p)
+
+
 @pytest.mark.parametrize("keep", [20, 45, 500], ids=["header", "odd_byte", "data"])
 def test_wav_truncated_is_refused(keep, tmp_path):
     """A WAV cut inside its header, or inside its data chunk at an odd or
