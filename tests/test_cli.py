@@ -80,6 +80,17 @@ def test_prepare_missing_corpus_exit_2(tmp_path):
     assert run_cli("prepare", tmp_path / "nope", tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_prepare_refuses_jobs_below_one_exit_2(toy_corpus, tmp_path, capsys, jobs):
+    """prepare has no --jobs option, so argparse refuses it whatever the
+    value, values below one included, before anything is written."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("prepare", toy_corpus, tmp_path / "out", "--jobs", jobs)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "train.jsonl").exists()
+
+
 def test_prepare_has_no_jobs_option_exit_2(toy_corpus, tmp_path, capsys):
     """prepare sizes its pool by the CPUs it may run on: argparse refuses
     --jobs."""
